@@ -3,4 +3,6 @@ second-vanishing-theorem equivalence, computed exactly."""
 
 __version__ = "0.1.0"
 
-ENGINE_VERSION = __version__
+# Stamped on every cache entry; bump it whenever the table engine changes,
+# so entries written by an older engine are recomputed, not served.
+ENGINE_VERSION = "2"

@@ -116,11 +116,9 @@ def svt_check(
                 evidence=f"dim(S/q) = {d}",
             )
         )
-        fl = simplicial.finite_length(p.as_ideal(), 2, field)
-        entry = sum(
-            v for (i, f), v in simplicial.hochster_table(p.as_ideal(), field).items()
-            if i == 2 and f == 0
-        )
+        local = simplicial.hochster_table(p.as_ideal(), field)
+        fl = simplicial.finite_length(p.as_ideal(), 2, field, table=local)
+        entry = local.get((2, 0), 0)
         hypotheses.append(
             Hypothesis(
                 name=f"finite length of H^2_m(S/{p.label()})",

@@ -2,8 +2,10 @@
 
 Keys hash the canonical ideal data plus the field and engine version, so
 permuting generators in the input still hits, while a different prime
-field or engine release misses.  Writes are atomic (temp file + rename);
-corrupt entries are evicted, never trusted.
+field or engine release misses.  Writes are atomic (temp file + rename).
+An entry is checked before it is trusted: one that is not a JSON object,
+or holds a degree, pattern or dimension no table can have, is evicted and
+counts as a miss.
 """
 
 from __future__ import annotations
@@ -46,23 +48,54 @@ def _entry_path(cache_dir: str, key: str) -> str:
 
 def lookup(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec) -> Optional[CohomologyTable]:
     path = _entry_path(cache_dir, cache_key(I, field))
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("a cache entry must be a JSON object")
         if data.get("engine") != ENGINE_VERSION:
             return None
-        dims = {}
-        for e in data["entries"]:
-            mask = I.context.mask_of(e["pattern"])
-            if e["dim"] <= 0:
-                raise ValueError("cached dimension must be positive")
-            dims[(int(e["i"]), mask)] = int(e["dim"])
-        return CohomologyTable(I, field, dims)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-        os.remove(path)
+        return CohomologyTable(I, field, _checked_dims(I, data["entries"]))
+    except FileNotFoundError:
         return None
+    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+        _evict(path)
+        return None
+
+
+def _checked_dims(I: SquareFreeIdeal, entries) -> dict:
+    """The (i, pattern mask) -> dim map of cached entries, or ValueError.
+
+    An entry is trusted only if local_cohomology_table could have written
+    it: 0 <= i <= n, a non-empty pattern inside the union of the generator
+    supports, a positive integer dimension, and no (i, pattern) twice.
+    """
+    n = I.context.n
+    union = I.support_union()
+    dims = {}
+    for e in entries:
+        i, names, d = e["i"], e["pattern"], e["dim"]
+        if not isinstance(names, list):
+            raise TypeError("cached pattern must be a list of variable names")
+        mask = I.context.mask_of(names)
+        if type(i) is not int or not 0 <= i <= n:
+            raise ValueError(f"cached degree {i!r} is outside 0..{n}")
+        if not mask or mask & ~union:
+            raise ValueError("cached pattern is empty or outside the support union")
+        if type(d) is not int or d <= 0:
+            raise ValueError("cached dimension must be a positive integer")
+        if (i, mask) in dims:
+            raise ValueError("cached entry repeats a degree and pattern")
+        dims[(i, mask)] = d
+    return dims
+
+
+def _evict(path: str):
+    """Remove an entry that failed its checks; a concurrent removal is fine."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 def store(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec, table: CohomologyTable):

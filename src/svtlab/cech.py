@@ -1,4 +1,4 @@
-"""The multigraded Cech engine.
+"""The local-cohomology table of a square-free monomial ideal.
 
 For a square-free ideal I = (f_1, ..., f_r) the degree-a piece of the
 localization S_{f_T} is one-dimensional exactly when every coordinate
@@ -8,19 +8,36 @@ inverted variables).  So the degree-a piece of the Cech complex depends
 on a only through N = {j : a_j < 0}, and one finite sign complex per
 "negativity pattern" N computes every graded piece of H^i_I(S).
 
-Per pattern N, position k of the complex carries the k-subsets T of the
-generators with N contained in union of supports; the differentials are
-the usual Cech alternating signs restricted to the active terms.  Ranks
-are taken exactly (integer elimination over Q, or mod p).
+Per pattern N, position k of that complex carries the k-subsets T of the
+generators with N contained in the union of their supports.  The other
+subsets, those missing some j in N, form the simplicial complex on the
+generators with facets {t : j not in supp(f_t)} for j in N, and the long
+exact sequence against the (acyclic) full simplex gives
+
+    H^i_I(S)_N = H~^{i-2}({t : j not in supp(f_t)}, j in N),
+
+which is Mustata's formula (G. Mustata, "Local cohomology at monomial
+ideals", J. Symbolic Comput. 29, 2000) read on the generator side.  By
+Dowker's theorem (C. H. Dowker, "Homology groups of relations", Ann. of
+Math. 56, 1952) the complex on N with facets N \\ supp(f_t), built from
+the same relation "j misses supp(f_t)", has the same cohomology, so
+local_cohomology_table computes each class once, on whichever side has
+fewer vertices, with simplicial.reduced_cohomology.  Patterns with equal
+generator-side facets share one computation through a memo local to the
+table call.  Ranks are taken exactly (integer elimination over Q, or
+mod p).
+
+The full sign complex (GradedComplex) is still built for the cohomology
+bases behind multiplication_map, and the resource caps are checked
+against its size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from . import linalg
+from . import linalg, simplicial
 from .fields import FieldSpec
 from .ideals import (
     CapExceededError,
@@ -70,16 +87,6 @@ def _binom(n: int, k: int) -> int:
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
-
-
-@dataclass(frozen=True)
-class NegPattern:
-    """The set of strictly negative coordinates of a multidegree."""
-
-    mask: int
-
-    def indices(self) -> tuple:
-        return tuple(bits(self.mask))
 
 
 @dataclass
@@ -132,21 +139,6 @@ def build_graded_complex(
     return GradedComplex(r, pattern, supports, active)
 
 
-def _complex_dims(cx: GradedComplex, field: FieldSpec) -> Dict[int, int]:
-    ranks = {}
-    for k in range(cx.r):
-        if cx.active[k] and cx.active[k + 1]:
-            ranks[k] = linalg.rank(cx.differential(k), field)
-        else:
-            ranks[k] = 0
-    dims = {}
-    for k in range(cx.r + 1):
-        h = len(cx.active[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
-        if h:
-            dims[k] = h
-    return dims
-
-
 @dataclass
 class CohomologyTable:
     """Nonzero k-dimensions of the graded pieces H^i_I(S)_N."""
@@ -189,23 +181,45 @@ def local_cohomology_table(
 ) -> CohomologyTable:
     """Every graded piece of H^*_I(S), one pattern class at a time.
 
-    Patterns not contained in the union of the generator supports are zero
-    (no active terms at all) and are skipped without building complexes.
+    Patterns that are zero for every i are skipped without building a
+    complex: N = {} (the Cech complex is the augmented full simplex),
+    N not contained in the union of the supports (no active terms), and N
+    disjoint from some generator's support (that generator is a cone point
+    of the generator-side complex).
     """
     if not I.is_proper or I.is_zero:
         raise ValueError("local cohomology table needs a proper nonzero ideal")
     limits.check(I)
+    n, r, supports = I.context.n, I.r, I.generators
+    # misses[j]: the generators whose support does not contain variable j
+    misses = [
+        sum(1 << t for t, g in enumerate(supports) if not g >> j & 1) for j in range(n)
+    ]
     union = I.support_union()
+    memo: Dict[tuple, Dict[int, int]] = {}  # generator-side facets -> H~^*
     dims: Dict[Tuple[int, int], int] = {}
+    patterns = []
     sub = union
-    patterns = [0]
     while sub:
         patterns.append(sub)
         sub = (sub - 1) & union
     for pattern in sorted(patterns):
-        cx = build_graded_complex(I, pattern, limits)
-        for i, d in _complex_dims(cx, field).items():
-            dims[(i, pattern)] = d
+        if any(not g & pattern for g in supports):
+            continue
+        facets = simplicial.maximal_faces(misses[j] for j in bits(pattern))
+        coh = memo.get(facets)
+        if coh is None:
+            # both sides have the same cohomology (Dowker); take the one
+            # with fewer vertices
+            if r <= popcount(pattern):
+                delta = simplicial.SimplicialComplex(r, facets)
+            else:
+                delta = simplicial.SimplicialComplex(
+                    n, simplicial.maximal_faces(pattern & ~g for g in supports)
+                )
+            coh = memo[facets] = simplicial.reduced_cohomology(delta, field)
+        for d, h in coh.items():
+            dims[(d + 2, pattern)] = h
     return CohomologyTable(I, field, dims)
 
 

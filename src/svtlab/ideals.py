@@ -8,7 +8,6 @@ types are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 

@@ -8,14 +8,12 @@ empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .fields import FieldSpec
 from .ideals import (
     SquareFreeIdeal,
-    bits,
     popcount,
     stanley_reisner_facets,
 )
@@ -64,31 +62,27 @@ class SimplicialComplex:
             return False
         return any(face & f == face for f in self.facets)
 
-    def faces_of_card(self, c: int) -> list:
-        """All faces with exactly c vertices, sorted.  Lazy per cardinality."""
+    def faces_by_card(self) -> list:
+        """faces_by_card()[c] is the sorted list of faces with c vertices.
+
+        Every face is a submask of a facet, so one submask walk per facet
+        finds them all; VOID has no cardinality levels at all.
+        """
         if self.is_void:
             return []
-        if c == 0:
-            return [0]
-        out = set()
+        faces = set()
         for f in self.facets:
-            vs = bits(f)
-            if len(vs) < c:
-                continue
-            for comb in combinations(vs, c):
-                m = 0
-                for v in comb:
-                    m |= 1 << v
-                out.add(m)
-        return sorted(out)
+            sub = f
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & f
+        levels = [[0]] + [[] for _ in range(self.dim() + 1)]
+        for face in sorted(faces):
+            levels[popcount(face)].append(face)
+        return levels
 
     def all_faces(self) -> list:
-        if self.is_void:
-            return []
-        out = []
-        for c in range(self.dim() + 2):
-            out.extend(self.faces_of_card(c))
-        return sorted(out)
+        return sorted(face for level in self.faces_by_card() for face in level)
 
 
 def complex_from_ideal(I: SquareFreeIdeal) -> SimplicialComplex:
@@ -102,44 +96,42 @@ def link(delta: SimplicialComplex, face: int) -> SimplicialComplex:
         raise ValueError("face is not in the complex")
     if face == 0:
         return delta
-    link_facets = set()
-    for f in delta.facets:
-        if face & f == face:
-            link_facets.add(f & ~face)
-    # facets of the link are the maximal ones among these
-    maximal = [
-        g for g in link_facets
-        if not any(h != g and g & h == g for h in link_facets)
-    ]
-    return SimplicialComplex(delta.n, tuple(maximal))
+    return SimplicialComplex(
+        delta.n, maximal_faces(f & ~face for f in delta.facets if face & f == face)
+    )
+
+
+def maximal_faces(masks) -> tuple:
+    """The inclusion-maximal masks among `masks`, sorted."""
+    kept = []
+    for m in sorted(set(masks), key=popcount, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
 
 
 def reduced_euler_characteristic(delta: SimplicialComplex) -> int:
     """sum over nonempty-and-empty faces of (-1)^(|F|-1); VOID gives 0."""
-    if delta.is_void:
-        return 0
-    chi = 0
-    for c in range(delta.dim() + 2):
-        chi += (-1) ** (c - 1) * len(delta.faces_of_card(c))
-    return chi
+    return sum(
+        (-1) ** (c - 1) * len(level) for c, level in enumerate(delta.faces_by_card())
+    )
 
 
-def _coboundary_rows(delta: SimplicialComplex, c: int):
-    """Rows = faces with c vertices, columns = faces with c+1 vertices."""
-    src = delta.faces_of_card(c)
-    tgt = {f: j for j, f in enumerate(delta.faces_of_card(c + 1))}
-    rows = []
-    for f in src:
-        row = {}
-        for v in range(delta.n):
-            b = 1 << v
-            if f & b:
-                continue
-            g = f | b
-            if g in tgt:
-                sign = (-1) ** popcount(f & (b - 1))
-                row[tgt[g]] = sign
-        rows.append(row)
+def _coboundary_rows(src: list, tgt: list) -> list:
+    """Rows = faces in src (c vertices), columns = faces in tgt (c+1 vertices).
+
+    The entry at (G minus v, G) is (-1)^(number of vertices of G below v).
+    """
+    row_of = {f: i for i, f in enumerate(src)}
+    rows = [{} for _ in src]
+    for j, g in enumerate(tgt):
+        sign = 1
+        rest = g
+        while rest:
+            b = rest & -rest
+            rows[row_of[g ^ b]][j] = sign
+            sign = -sign
+            rest ^= b
     return rows
 
 
@@ -148,19 +140,16 @@ def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, 
 
     Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.
     """
-    if delta.is_void:
-        return {}
-    top = delta.dim()
-    ranks = {}
-    counts = {}
-    for d in range(-1, top + 1):
-        counts[d] = len(delta.faces_of_card(d + 1))
-        ranks[d] = linalg.rank(_coboundary_rows(delta, d + 1), field)
+    levels = delta.faces_by_card()
+    # ranks[c]: rank of the coboundary from faces with c vertices to c + 1
+    ranks = [0] * len(levels)
+    for c in range(len(levels) - 1):
+        ranks[c] = linalg.rank(_coboundary_rows(levels[c], levels[c + 1]), field)
     dims = {}
-    for d in range(-1, top + 1):
-        h = counts[d] - ranks[d] - ranks.get(d - 1, 0)
+    for c, level in enumerate(levels):
+        h = len(level) - ranks[c] - (ranks[c - 1] if c else 0)
         if h:
-            dims[d] = h
+            dims[c - 1] = h
     return dims
 
 
@@ -185,8 +174,15 @@ def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
     return min(i for i, _ in hochster_table(I, field))
 
 
-def finite_length(I: SquareFreeIdeal, i: int, field: FieldSpec) -> bool:
-    """True iff H^i_m(S/I) has finite length: only the F = empty column may be nonzero."""
-    return all(
-        face == 0 for (row, face) in hochster_table(I, field) if row == i
-    )
+def finite_length(
+    I: SquareFreeIdeal,
+    i: int,
+    field: FieldSpec,
+    table: Optional[Dict[Tuple[int, int], int]] = None,
+) -> bool:
+    """True iff H^i_m(S/I) has finite length: only the F = empty column may be nonzero.
+
+    `table` is hochster_table(I, field) when the caller already has it.
+    """
+    table = table if table is not None else hochster_table(I, field)
+    return all(face == 0 for (row, face) in table if row == i)

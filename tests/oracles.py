@@ -8,6 +8,7 @@ enumeration) without touching the production code paths it checks.
 from itertools import combinations
 
 from svtlab import linalg
+from svtlab.cech import EngineLimits, GradedComplex, build_graded_complex
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, bits, popcount
 
@@ -138,3 +139,33 @@ def brute_force_quotient_height(I: SquareFreeIdeal, prime_mask: int) -> int:
 def _contains_minimal_prime(I: SquareFreeIdeal, P: int) -> bool:
     # P contains I iff P is a transversal of the generator supports
     return all(g & P for g in I.generators)
+
+
+def cech_table_dims(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
+    """(i, pattern) -> dim H^i_I(S)_N from the full sign complex of every pattern.
+
+    The complex of pattern N has the generator subsets T whose supports
+    cover N at position |T| (all 2^r subsets are visited), so this is the
+    Cech complex itself, with no skipped pattern and no duality."""
+    limits = EngineLimits(max_vars=I.context.n, max_matrix_cells=10**9)
+    dims = {}
+    for pattern in range(1 << I.context.n):
+        cx = build_graded_complex(I, pattern, limits)
+        for i, d in _complex_dims(cx, field).items():
+            dims[(i, pattern)] = d
+    return dims
+
+
+def _complex_dims(cx: GradedComplex, field: FieldSpec) -> dict:
+    ranks = {}
+    for k in range(cx.r):
+        if cx.active[k] and cx.active[k + 1]:
+            ranks[k] = linalg.rank(cx.differential(k), field)
+        else:
+            ranks[k] = 0
+    dims = {}
+    for k in range(cx.r + 1):
+        h = len(cx.active[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+        if h:
+            dims[k] = h
+    return dims

@@ -1,9 +1,13 @@
 import json
 import os
 
-from conftest import context_of
+import pytest
 
+from conftest import context_of, fixture_path
+
+import svtlab
 from svtlab import cache
+from svtlab.cli import main, parse_ideal_document
 from svtlab.cech import local_cohomology_table
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal
@@ -66,6 +70,91 @@ def test_version_mismatch_misses(tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     assert cache.lookup(d, I, Q) is None
+
+
+def test_old_engine_stamp_misses(tmp_path):
+    d = str(tmp_path)
+    I = make_ideal()
+    cache.store(d, I, Q, local_cohomology_table(I, Q))
+    path = os.path.join(d, cache.cache_key(I, Q) + ".json")
+    doc = json.load(open(path))
+    doc["engine"] = svtlab.__version__  # what the Cech-complex engine stamped
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert cache.lookup(d, I, Q) is None
+
+
+def plant(d, I, doc):
+    """Write `doc` where the cache entry of (I, Q) lives; return its path."""
+    os.makedirs(d, exist_ok=True)
+    path = os.path.join(d, cache.cache_key(I, Q) + ".json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def planted_entries(d, I, *entries):
+    return plant(d, I, {"engine": svtlab.ENGINE_VERSION, "entries": list(entries)})
+
+
+@pytest.mark.parametrize("doc", [None, [], 3, "entries"])
+def test_non_object_entry_evicted(tmp_path, doc):
+    d = str(tmp_path)
+    I = make_ideal()
+    path = plant(d, I, doc)
+    assert cache.lookup(d, I, Q) is None
+    assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("i", [-1, 5, 9])
+def test_degree_outside_range_evicted(tmp_path, i):
+    d = str(tmp_path)
+    I = make_ideal()  # n = 4
+    path = planted_entries(d, I, {"i": i, "pattern": ["x1", "x2"], "dim": 1})
+    assert cache.lookup(d, I, Q) is None
+    assert not os.path.exists(path)
+
+
+def test_empty_pattern_evicted(tmp_path):
+    d = str(tmp_path)
+    I = make_ideal()
+    path = planted_entries(d, I, {"i": 2, "pattern": [], "dim": 1})
+    assert cache.lookup(d, I, Q) is None
+    assert not os.path.exists(path)
+
+
+def test_pattern_outside_support_union_evicted(tmp_path):
+    d = str(tmp_path)
+    I = SquareFreeIdeal.from_supports(context_of(3), [0b011])  # (x1*x2)
+    path = planted_entries(d, I, {"i": 1, "pattern": ["x1", "x3"], "dim": 1})
+    assert cache.lookup(d, I, Q) is None
+    assert not os.path.exists(path)
+
+
+def test_well_formed_planted_entry_is_served(tmp_path):
+    # the checks bound what an entry may say, not whether it is true
+    d = str(tmp_path)
+    I = SquareFreeIdeal.from_supports(context_of(3), [0b011])
+    planted_entries(d, I, {"i": 1, "pattern": ["x1", "x2"], "dim": 2})
+    assert cache.lookup(d, I, Q).dims == {(1, 0b011): 2}
+
+
+H9 = {"engine": svtlab.ENGINE_VERSION, "entries": [{"i": 9, "pattern": ["x1"], "dim": 1}]}
+
+
+@pytest.mark.parametrize("doc", [None, [], H9])
+def test_analyze_recomputes_over_a_malformed_entry(tmp_path, capsys, doc):
+    d = str(tmp_path / "cache")
+    src = fixture_path("two_planes.json")
+    with open(src) as fh:
+        I = parse_ideal_document(json.load(fh))
+    plant(d, I, doc)
+    code = main(["analyze", "--input", src, "--cache-dir", d])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == ""
+    assert json.loads(out.out)["cache"] == "miss"
+    assert cache.lookup(d, I, Q) is not None  # the recomputed table was stored
 
 
 def test_clear_and_stats(tmp_path):

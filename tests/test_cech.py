@@ -1,10 +1,15 @@
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import context_of, proper_ideals
-from oracles import localized_piece_dim
+from conftest import context_of, fixture_path, proper_ideals
+from oracles import cech_table_dims, localized_piece_dim
+
+from svtlab import simplicial
+from svtlab.analysis import grade_check, hlv_check
+from svtlab.cli import parse_ideal_document
 
 from svtlab.fields import FieldSpec
 from svtlab.ideals import (
@@ -162,6 +167,86 @@ class TestTableExamples:
         entries = table.entries()
         assert entries == sorted(entries, key=lambda e: (e["i"], e["pattern"]))
         assert all(set(e) == {"i", "pattern", "dim"} for e in entries)
+
+
+FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3)]
+
+
+def projective_plane_ideal():
+    """Stanley-Reisner ideal of the 6-vertex real projective plane, whose
+    table has 2-torsion: it differs between Q and GF(2)."""
+    triangles = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+    faces = {sum(1 << (v - 1) for v in t) for t in triangles}
+    non_faces = [
+        F for F in range(1 << 6)
+        if popcount(F) == 3 and F not in faces
+    ]
+    return SquareFreeIdeal.from_supports(context_of(6), non_faces)
+
+
+class TestAgainstCechOracle:
+    """The dual engine against the full 2^r Cech complex of every pattern."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(max_n=5, max_gens=6))
+    @settings(max_examples=150, deadline=None)
+    # (x1x2, x3x4): all nine covering patterns share one memo key; r <= |N|
+    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]))
+    # (x1, x2) cap (x3, x4, x5): r = 6 > |N| for every pattern
+    @example(I=primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]))
+    # x1 * (x2, x3, x4): H^1 at N = {x1} on the N side, H^3 on the generator side
+    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b0101, 0b1001]))
+    def test_table_equals_oracle(self, field, I):
+        assert local_cohomology_table(I, field).dims == cech_table_dims(I, field)
+
+    def test_torsion_table_equals_oracle(self):
+        I = projective_plane_ideal()
+        over_f2 = local_cohomology_table(I, FieldSpec(2)).dims
+        assert over_f2 == cech_table_dims(I, FieldSpec(2))
+        # over Q the two 2-torsion classes at the full pattern vanish and
+        # nothing else moves
+        full = 0b111111
+        assert over_f2[(3, full)] == over_f2[(4, full)] == 1
+        assert local_cohomology_table(I, Q).dims == {
+            key: d for key, d in over_f2.items() if key[1] != full
+        }
+
+    @pytest.mark.parametrize(
+        "I, calls, vertices",
+        [
+            # nine covering patterns, one generator-side complex (two points)
+            (SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]), 1, {2}),
+            # eleven covering patterns, all distinct, r = 6 > 5 = n
+            (primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]), 11, {5}),
+        ],
+    )
+    def test_each_class_computed_once_on_the_smaller_side(
+        self, monkeypatch, I, calls, vertices
+    ):
+        seen = []
+        reduced_cohomology = simplicial.reduced_cohomology
+
+        def spy(delta, field):
+            seen.append(delta.n)
+            return reduced_cohomology(delta, field)
+
+        monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
+        table = local_cohomology_table(I, Q)
+        assert len(seen) == calls
+        assert set(seen) == vertices
+        assert table.dims == cech_table_dims(I, Q)
+
+    def test_ex45_n3_with_raised_caps(self):
+        with open(fixture_path("ex45_n3.json")) as fh:
+            I = parse_ideal_document(json.load(fh))
+        limits = EngineLimits(max_vars=9, max_generators=12, max_matrix_cells=10**8)
+        table = local_cohomology_table(I, Q, limits)
+        assert hlv_check(I, Q, limits, table=table)
+        assert grade_check(I, Q, limits, table=table)
+        assert cohomological_dimension(I, table=table) + depth_quotient(I, Q) == I.context.n
 
 
 class TestStructuralInvariants:
