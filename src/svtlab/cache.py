@@ -90,12 +90,13 @@ def _checked_dims(I: SquareFreeIdeal, entries) -> dict:
     return dims
 
 
-def _evict(path: str):
-    """Remove an entry that failed its checks; a concurrent removal is fine."""
+def _evict(path: str) -> bool:
+    """Remove an entry; False if another process removed it first."""
     try:
         os.remove(path)
     except FileNotFoundError:
-        pass
+        return False
+    return True
 
 
 def store(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec, table: CohomologyTable):
@@ -115,17 +116,22 @@ def store(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec, table: Cohomolog
 def clear(cache_dir: str) -> int:
     if not os.path.isdir(cache_dir):
         return 0
-    removed = 0
-    for name in os.listdir(cache_dir):
-        if name.endswith(".json"):
-            os.remove(os.path.join(cache_dir, name))
-            removed += 1
-    return removed
+    return sum(
+        _evict(os.path.join(cache_dir, name))
+        for name in os.listdir(cache_dir)
+        if name.endswith(".json")
+    )
 
 
 def stats(cache_dir: str) -> dict:
-    if not os.path.isdir(cache_dir):
-        return {"dir": cache_dir, "entries": 0, "bytes": 0}
-    entries = [n for n in os.listdir(cache_dir) if n.endswith(".json")]
-    size = sum(os.path.getsize(os.path.join(cache_dir, n)) for n in entries)
-    return {"dir": cache_dir, "entries": len(entries), "bytes": size}
+    entries, size = 0, 0
+    if os.path.isdir(cache_dir):
+        for name in os.listdir(cache_dir):
+            if not name.endswith(".json"):
+                continue
+            try:
+                size += os.path.getsize(os.path.join(cache_dir, name))
+            except FileNotFoundError:  # removed by another process
+                continue
+            entries += 1
+    return {"dir": cache_dir, "entries": entries, "bytes": size}

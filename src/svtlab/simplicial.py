@@ -3,11 +3,28 @@
 Faces are bitmasks over the ambient vertex set.  The degenerate cases are
 kept apart on purpose: VOID has no faces at all, EMPTY has exactly the
 empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
+
+Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
+simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
+Stanley-Reisner complex of I.  Three facts keep it cheap:
+
+- Cone lemma: a complex whose facets share a vertex v is a cone over v, so
+  it is acyclic; reduced_cohomology answers {} for it without elimination.
+- The facets of lk F are G minus F for the facets G that contain F, so
+  lk F is a cone exactly when those facets meet in more than F.  Only a
+  face that is an intersection of facets (the empty face included when
+  all facets meet in it) can carry cohomology, and hochster_table visits
+  only those.
+- S/P for a coordinate prime P is a polynomial ring in d = n - ht P
+  variables (its complex is a simplex), so H^i_m(S/P) is nonzero only at
+  i = d; analysis.svt_check uses that instead of a table per prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Dict, Optional, Tuple
 
 from . import linalg
@@ -81,9 +98,6 @@ class SimplicialComplex:
             levels[popcount(face)].append(face)
         return levels
 
-    def all_faces(self) -> list:
-        return sorted(face for level in self.faces_by_card() for face in level)
-
 
 def complex_from_ideal(I: SquareFreeIdeal) -> SimplicialComplex:
     """Stanley-Reisner complex of a proper square-free ideal."""
@@ -140,6 +154,8 @@ def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, 
 
     Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.
     """
+    if delta.facets and reduce(and_, delta.facets):
+        return {}  # a cone over a vertex in every facet is acyclic
     levels = delta.faces_by_card()
     # ranks[c]: rank of the coboundary from faces with c vertices to c + 1
     ranks = [0] * len(levels)
@@ -158,11 +174,16 @@ def hochster_table(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int]
 
     The degree-a piece of H^i_m(S/I) for a <= 0 with support F has this
     dimension when F is a face, and is 0 otherwise; so each nonempty F
-    column carries infinitely many multidegrees.
+    column carries infinitely many multidegrees.  Only intersections of
+    facets are visited: the link of any other face is a cone.
     """
     delta = complex_from_ideal(I)
+    closed, frontier = set(delta.facets), delta.facets
+    while frontier:
+        frontier = {a & b for a in frontier for b in delta.facets} - closed
+        closed |= frontier
     table = {}
-    for face in delta.all_faces():
+    for face in sorted(closed):
         lk = link(delta, face)
         for d, h in reduced_cohomology(lk, field).items():
             table[(d + popcount(face) + 1, face)] = h

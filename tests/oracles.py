@@ -11,6 +11,7 @@ from svtlab import linalg
 from svtlab.cech import EngineLimits, GradedComplex, build_graded_complex
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, bits, popcount
+from svtlab.simplicial import SimplicialComplex, complex_from_ideal, link
 
 
 def monomial_in_ideal(I: SquareFreeIdeal, support: int) -> bool:
@@ -168,4 +169,42 @@ def _complex_dims(cx: GradedComplex, field: FieldSpec) -> dict:
         h = len(cx.active[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
         if h:
             dims[k] = h
+    return dims
+
+
+def hochster_table_all_faces(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
+    """(i, face) -> dim H~^{i-|F|-1}(lk F) over every face F of the complex.
+
+    Hochster's formula face by face, each link by full elimination: no
+    cone test and no restriction to intersections of facets."""
+    delta = complex_from_ideal(I)
+    table = {}
+    for face in sorted(f for level in delta.faces_by_card() for f in level):
+        lk = link(delta, face)
+        for d, h in reduced_cohomology_by_elimination(lk, field).items():
+            table[(d + popcount(face) + 1, face)] = h
+    return table
+
+
+def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(0)) -> dict:
+    """d -> dim H~^d(delta), nonzero only, from the rank of every coboundary."""
+    levels = delta.faces_by_card()
+    ranks = [0] * (len(levels) + 1)
+    for c in range(len(levels) - 1):
+        col = {g: j for j, g in enumerate(levels[c + 1])}
+        rows = []
+        for f in levels[c]:
+            row = {}
+            for v in range(delta.n):
+                b = 1 << v
+                j = col.get(f | b) if not f & b else None
+                if j is not None:
+                    row[j] = (-1) ** popcount(f & (b - 1))
+            rows.append(row)
+        ranks[c] = linalg.rank(rows, field)
+    dims = {}
+    for c, level in enumerate(levels):
+        h = len(level) - ranks[c] - ranks[c - 1]
+        if h:
+            dims[c - 1] = h
     return dims

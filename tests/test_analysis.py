@@ -4,10 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import context_of, proper_ideals
+from conftest import context_of, fixture_path, proper_ideals
+from oracles import hochster_table_all_faces
 
+from svtlab.cech import EngineLimits
+from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, VariableContext, dim_quotient
+from svtlab.ideals import SquareFreeIdeal, VariableContext, dim_quotient, minimal_primes
+from svtlab.simplicial import finite_length
 from svtlab.analysis import (
     grade_check,
     hlv_check,
@@ -189,3 +193,41 @@ class TestSweep:
         a = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5).to_json()
         b = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5).to_json()
         assert a == b
+
+
+FIXTURES = [
+    "ex313.json", "ex43.json", "ex45_n3.json", "ex45_reduced.json",
+    "ex46.json", "ex47.json", "max_ideal_n2.json", "two_planes.json",
+]
+
+
+def assert_finite_length_hypotheses_match_hochster(I, field, limits=EngineLimits()):
+    """The closed form svt_check uses for S/q against q's own Hochster table."""
+    report = svt_check(I, field, limits)
+    by_name = {h.name: h for h in report.hypotheses}
+    for p in minimal_primes(I):
+        q = p.as_ideal()
+        fl = finite_length(q, 2, field)
+        entry = hochster_table_all_faces(q, field).get((2, 0), 0)
+        h = by_name[f"finite length of H^2_m(S/{p.label()})"]
+        assert h.holds == fl
+        assert h.evidence == (
+            f"length {entry} at the origin column" if fl else "an off-origin column is nonzero"
+        )
+        assert h.vacuous == (I.context.n - p.height != 2)
+
+
+class TestPrimeHypothesisClosedForm:
+    @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=6, max_gens=5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_ideals(self, field, I):
+        assert_finite_length_hypotheses_match_hochster(I, field)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        with open(fixture_path(name)) as fh:
+            I = parse_ideal_document(json.load(fh))
+        # ex45_n3 has 9 variables and 12 generators, past the default caps
+        limits = EngineLimits(max_vars=9, max_generators=12, max_matrix_cells=10**8)
+        assert_finite_length_hypotheses_match_hochster(I, Q, limits)

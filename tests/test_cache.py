@@ -167,6 +167,29 @@ def test_clear_and_stats(tmp_path):
     assert cache.stats(d)["entries"] == 0
 
 
+def vanished_entry_listing(monkeypatch):
+    """os.listdir that also names an entry another process has just removed."""
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: listdir(path) + ["0" * 64 + ".json"])
+
+
+def test_clear_skips_an_entry_removed_concurrently(tmp_path, monkeypatch):
+    d = str(tmp_path)
+    I = make_ideal()
+    cache.store(d, I, Q, local_cohomology_table(I, Q))
+    vanished_entry_listing(monkeypatch)
+    assert cache.clear(d) == 1
+
+
+def test_stats_skip_an_entry_removed_concurrently(tmp_path, monkeypatch):
+    d = str(tmp_path)
+    I = make_ideal()
+    cache.store(d, I, Q, local_cohomology_table(I, Q))
+    size = os.path.getsize(os.path.join(d, cache.cache_key(I, Q) + ".json"))
+    vanished_entry_listing(monkeypatch)
+    assert cache.stats(d) == {"dir": d, "entries": 1, "bytes": size}
+
+
 def test_env_var_controls_default(monkeypatch, tmp_path):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "envcache"))
     assert cache.default_cache_dir() == str(tmp_path / "envcache")

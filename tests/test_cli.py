@@ -205,6 +205,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["verdicts"]["agreement"] is True
 
+    def test_field_characteristic_over_the_bound(self, capsys):
+        code, out, err = invoke(
+            capsys, "svt", "--input", fixture_path("two_planes.json"), "--no-cache",
+            "--field", "3317044064679887385961981",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "input_error"
+
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "analyze", "--bogus")
         assert code == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svtlab.fields import FieldSpec
+from svtlab.fields import MAX_CHARACTERISTIC, FieldSpec
 from svtlab.linalg import Reducer, dense_rank, left_kernel_basis, rank
 
 
@@ -32,6 +32,34 @@ class TestFieldSpec:
         assert F.of(7) == 2
         assert F.mul(F.of(3), F.inv(F.of(3))) == F.one
         assert F.neg(F.of(2)) == 3
+
+
+class TestLargeCharacteristic:
+    """Primality is deterministic Miller-Rabin, so large p answer at once."""
+
+    def test_nineteen_digit_prime(self):
+        p = 9223372036854775783  # the largest prime below 2^63
+        assert FieldSpec(p).label() == f"GF({p})"
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # the least Carmichael number
+            3825123056546413051,  # a strong pseudoprime to the bases 2..23
+            318665857834031151167461,  # a strong pseudoprime to the bases 2..37
+            1000000007 * 998244353,  # a product of two 10-digit primes
+        ],
+    )
+    def test_rejects_pseudoprimes(self, n):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            FieldSpec(n)
+
+    def test_rejects_characteristic_at_the_bound(self):
+        # the bound is itself a strong pseudoprime to every base used
+        with pytest.raises(ValueError, match="must be below"):
+            FieldSpec(MAX_CHARACTERISTIC)
+        with pytest.raises(ValueError, match="must be below"):
+            FieldSpec(10**40)
 
 
 class TestRank:

@@ -1,9 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import context_of, proper_ideals
-from oracles import quotient_local_cohomology_dim
+from oracles import (
+    hochster_table_all_faces,
+    quotient_local_cohomology_dim,
+    reduced_cohomology_by_elimination,
+)
+from test_cech import projective_plane_ideal
 
+from svtlab import linalg
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, VariableContext, popcount
 from svtlab.simplicial import (
@@ -13,6 +20,7 @@ from svtlab.simplicial import (
     finite_length,
     hochster_table,
     link,
+    maximal_faces,
     reduced_cohomology,
     reduced_euler_characteristic,
 )
@@ -190,3 +198,43 @@ class TestFieldDependence:
         assert over_q.get(2, 0) == 0
         assert over_f2.get(2, 0) == 1
         assert over_f2.get(1, 0) == 1
+
+
+FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3)]
+
+
+class TestSkippedLinks:
+    """The cone test and the facet-intersection walk against full elimination."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
+    @settings(max_examples=120, deadline=None)
+    # I = m: the EMPTY complex, whose only face is the empty one
+    @example(I=SquareFreeIdeal.maximal(context_of(3)))
+    # I = (x1): a simplex on x2..x5, one facet and a cone over every vertex
+    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00001]))
+    # (x1, x2) cap (x3, x4): two disjoint edges, the facets meet in the empty face
+    @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
+    # the real projective plane: facets meet in the empty face, 2-torsion
+    @example(I=projective_plane_ideal())
+    def test_table_equals_all_faces_oracle(self, field, I):
+        assert hochster_table(I, field) == hochster_table_all_faces(I, field)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6),
+                st.integers(0, n),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cone_is_acyclic_without_elimination(self, drawn):
+        n, masks, apex = drawn
+        # any complex on n vertices, coned over a vertex old (apex < n) or new
+        cone = SimplicialComplex(n + 1, maximal_faces(m | 1 << apex for m in masks))
+        assert reduced_cohomology_by_elimination(cone) == {}
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(linalg, "rank", lambda *a: pytest.fail("a cone needs no rank"))
+            assert reduced_cohomology(cone, Q) == {}
