@@ -27,9 +27,14 @@ generator-side facets share one computation through a memo local to the
 table call.  Ranks are taken exactly (integer elimination over Q, or
 mod p).
 
-The full sign complex (GradedComplex) is still built for the cohomology
-bases behind multiplication_map, and the resource caps are checked
-against its size.
+The full sign complex (GradedComplex) is still built for the
+multiplication maps, and the resource caps are checked against its size.
+Multiplication by x_j sends pattern N to N \\ {j}, and the complex of N
+is a subcomplex (same signs) of the complex of N \\ {j}; so the rank of
+the induced map on H^i comes from sparse ranks alone: the cocycles of
+the subcomplex, less the coboundaries of the larger complex, plus the
+coboundaries that vanish on the terms outside the subcomplex
+(multiplication_map states the formula).  No cohomology basis is built.
 """
 
 from __future__ import annotations
@@ -277,48 +282,19 @@ def q_invariant(
 
 @dataclass
 class InducedMap:
-    """Matrix of x_j on cohomology, from pattern N to N minus {j}."""
+    """Rank of x_j on cohomology, from pattern N to N minus {j}."""
 
     i: int
     variable: int  # index j
     source_pattern: int  # contains j
     target_pattern: int
-    matrix: list  # dense rows (target basis) x columns (source basis)
     source_dim: int
     target_dim: int
-    field: FieldSpec
+    rank: int  # dimension of the image
 
     @property
     def is_surjective(self) -> bool:
-        if self.target_dim == 0:
-            return True
-        return linalg.dense_rank(self.matrix, self.field) == self.target_dim
-
-
-def _cohomology_basis(cx: GradedComplex, i: int, field: FieldSpec):
-    """(reducer seeded with the coboundaries, chosen cocycle class reps).
-
-    Cocycle bases come from the left kernel of d_i in the lexicographic
-    subset order, so serialized maps are reproducible.
-    """
-    m = len(cx.active[i])
-    kernel = (
-        linalg.left_kernel_basis(cx.differential(i), field)
-        if i < cx.r and cx.active[i + 1]
-        else [
-            [field.one if k == t else field.zero for k in range(m)]
-            for t in range(m)
-        ]
-    )
-    red = linalg.Reducer(m, field)
-    if i > 0 and cx.active[i - 1]:
-        for row in cx.differential(i - 1):
-            vec = [field.zero] * m
-            for c, v in row.items():
-                vec[c] = field.of(v)
-            red.add(vec)
-    reps = [z for z in kernel if red.add(z)]
-    return red, reps
+        return self.rank == self.target_dim
 
 
 def multiplication_map(
@@ -329,49 +305,43 @@ def multiplication_map(
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> InducedMap:
-    """Induced map H^i(C(N)) -> H^i(C(N \\ {j})) for j in N.
+    """Induced map H^i(A) -> H^i(B), A = C(N) and B = C(N \\ {j}), j in N.
 
-    At the chain level the map is the inclusion of the active terms of
-    C(N) into those of C(N \\ {j}) (where the source term is missing, the
-    component is zero); patterns with j outside N change nothing and are
-    isomorphisms, so only these comparison maps are materialized.
+    A is a subcomplex of B with the same signs (a subset covering N covers
+    N \\ {j}, and adding a generator keeps the cover), and the map is the
+    one the inclusion induces; patterns with j outside N change nothing and
+    are isomorphisms, so only these comparison maps are computed.  The
+    image of Z^i(A) meets B^i(B) in the coboundaries of B that vanish on
+    Q_i = B_i \\ A_i, that is d_B of the kernel of d_B^{i-1} restricted to
+    the Q_i columns, so
+
+        rank = (|A_i| - rk d_A^i) - rk d_B^{i-1} + rk (d_B^{i-1} on Q_i).
     """
     b = 1 << variable
     if not pattern & b:
         raise ValueError("the variable must lie in the source pattern")
+    if not 0 <= i <= I.r:
+        return InducedMap(i, variable, pattern, pattern & ~b, 0, 0, 0)
     src = build_graded_complex(I, pattern, limits)
     tgt = build_graded_complex(I, pattern & ~b, limits)
 
-    src_red, src_reps = _cohomology_basis(src, i, field)
-    tgt_red, tgt_reps = _cohomology_basis(tgt, i, field)
-    h_src = len(src_reps)
-    h_tgt = len(tgt_reps)
-    n_boundary = tgt_red.count - h_tgt  # boundary vectors were added first
+    def rk(rows: list) -> int:
+        return linalg.rank(rows, field)
 
-    tgt_pos = {T: j for j, T in enumerate(tgt.active[i])}
-    col_of_src = [tgt_pos[T] for T in src.active[i]]
-
-    matrix = [[field.zero] * h_src for _ in range(h_tgt)]
-    for col, rep in enumerate(src_reps):
-        vec = [field.zero] * len(tgt.active[i])
-        for k, v in enumerate(rep):
-            if v != field.zero:
-                vec[col_of_src[k]] = v
-        combo = tgt_red.express(vec)
-        if combo is None:
-            raise AssertionError("image of a cocycle is not a cocycle")
-        for k, v in combo.items():
-            if k >= n_boundary:  # coefficient on a cohomology representative
-                matrix[k - n_boundary][col] = field.neg(v)
+    in_src = set(src.active[i])
+    outside = {c for c, T in enumerate(tgt.active[i]) if T not in in_src}
+    boundaries = tgt.differential(i - 1)
+    cocycles = len(src.active[i]) - rk(src.differential(i))
+    rk_boundaries = rk(boundaries)
+    rk_outside = rk([{c: v for c, v in row.items() if c in outside} for row in boundaries])
     return InducedMap(
         i=i,
         variable=variable,
         source_pattern=pattern,
         target_pattern=pattern & ~b,
-        matrix=matrix,
-        source_dim=h_src,
-        target_dim=h_tgt,
-        field=field,
+        source_dim=cocycles - rk(src.differential(i - 1)),
+        target_dim=len(tgt.active[i]) - rk(tgt.differential(i)) - rk_boundaries,
+        rank=cocycles - rk_boundaries + rk_outside,
     )
 
 

@@ -7,6 +7,7 @@ failure (hlv/grade/MV returned False).  Errors go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -31,6 +32,13 @@ EXIT_SENTINEL = 3
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they leave as a JSON line, exit 1."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def parse_ideal_document(doc: dict) -> SquareFreeIdeal:
@@ -242,24 +250,24 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, with_field=True, with_cache=True):
-    if with_field:
+def _add_common(p, with_engine=True, with_cache=True):
+    p.add_argument("--output", help="write the JSON result here instead of stdout")
+    if with_engine:
         p.add_argument(
             "--field",
             default="rationals",
             help="coefficient field: 'rationals' or a prime p",
         )
-    p.add_argument("--output", help="write the JSON result here instead of stdout")
-    p.add_argument("--max-vars", type=int, default=EngineLimits.max_vars)
-    p.add_argument("--max-generators", type=int, default=EngineLimits.max_generators)
-    p.add_argument("--cell-budget", type=int, default=EngineLimits.max_matrix_cells)
+        p.add_argument("--max-vars", type=int, default=EngineLimits.max_vars)
+        p.add_argument("--max-generators", type=int, default=EngineLimits.max_generators)
+        p.add_argument("--cell-budget", type=int, default=EngineLimits.max_matrix_cells)
     if with_cache:
         p.add_argument("--cache-dir", help="cache directory (default: $SVTLAB_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svtlab",
         description="graded local cohomology workbench for square-free monomial ideals",
     )
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=["theta", "gamma"], required=True)
     p.add_argument("--dot", help="write a DOT file here")
-    _add_common(p, with_field=False, with_cache=False)
+    _add_common(p, with_engine=False, with_cache=False)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("surjectivity", help="surjectivity of a monomial on H^i")
@@ -324,14 +332,17 @@ def _error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
-    try:
+        args = _parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help; usage errors raise InputError instead
+        return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     except CapExceededError as e:
         _error("cap_exceeded", str(e))
         return EXIT_CAPS

@@ -3,12 +3,20 @@
 The default field is the rationals (ranks computed by fraction-free
 integer elimination, so no floating point anywhere).  Finite prime
 fields are available for speed and for characteristic experiments.
+
+A FieldSpec only selects and labels the field: it has no element
+arithmetic, because every quantity svtlab computes is a count of terms
+plus and minus ranks of sparse integer matrices.  That includes the rank
+of multiplication by x_j on H^i: the Cech complex of the source pattern
+is a subcomplex, with the same signs, of the complex of the target, so
+the rank of the induced map is read off ranks of the two coboundaries
+(cech.multiplication_map states the formula), and linalg takes those
+ranks on native ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below the
@@ -70,48 +78,6 @@ class FieldSpec:
         if text in ("rationals", "QQ", "Q", "0"):
             return cls(0)
         return cls(int(text))
-
-    # -- element arithmetic ------------------------------------------------
-    # Elements are Fraction for characteristic 0 and plain ints in [0, p)
-    # for GF(p).  The handful of helpers below is all the dense solvers need.
-
-    def of(self, n: int):
-        if self.is_rationals:
-            return Fraction(n)
-        return n % self.characteristic
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
-
-    def add(self, a, b):
-        if self.is_rationals:
-            return a + b
-        return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        if self.is_rationals:
-            return a - b
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        if self.is_rationals:
-            return a * b
-        return (a * b) % self.characteristic
-
-    def neg(self, a):
-        if self.is_rationals:
-            return -a
-        return (-a) % self.characteristic
-
-    def inv(self, a):
-        if self.is_rationals:
-            return 1 / a
-        return pow(a, self.characteristic - 2, self.characteristic)
 
 
 RATIONALS = FieldSpec(0)

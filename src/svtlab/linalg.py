@@ -5,14 +5,17 @@ Ranks over Q use fraction-free integer elimination: pivoting on a +-1
 entry keeps the update integral; when only larger pivots remain, the
 cross-multiplication step ``row <- pivot*row - entry*pivot_row`` followed
 by a gcd reduction keeps everything in Z without changing the rank.
-The dense helpers (kernels, coordinate solves) work over FieldSpec
-elements and are only used on the small cohomology-sized matrices.
+Ranks over GF(p) reduce entries mod p and eliminate on native ints.
+Rank is the only operation: every cohomology dimension, and the rank of
+every multiplication map on cohomology (cech.multiplication_map, by the
+subcomplex argument stated there), is a count of terms plus and minus
+ranks of sparse coboundary matrices, so no kernel basis or echelon form
+is kept.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
 
 from .fields import FieldSpec
 
@@ -121,116 +124,3 @@ def rank_mod(rows: SparseMatrix, p: int) -> int:
             if not row:
                 alive.discard(j)
     return rnk
-
-
-def left_kernel_basis(rows: SparseMatrix, field: FieldSpec) -> list:
-    """Basis of {x : sum_i x_i * row_i = 0}, as dense vectors of length len(rows).
-
-    Deterministic: elimination walks rows in their given order, so callers
-    that fix the row order (e.g. lexicographic subset enumeration) get a
-    reproducible kernel basis.
-    """
-    m = len(rows)
-    work = [{c: field.of(v) for c, v in r.items()} for r in rows]
-    # transformation matrix, tracks row operations applied to the identity
-    trans = [{i: field.one} for i in range(m)]
-    pivots: dict = {}  # column -> row index
-    kernel = []
-    for i in range(m):
-        row = work[i]
-        t = trans[i]
-        while row:
-            c = min(row)
-            if c not in pivots:
-                break
-            j = pivots[c]
-            f = field.mul(row[c], field.inv(work[j][c]))
-            for cc, vv in work[j].items():
-                nv = field.sub(row.get(cc, field.zero), field.mul(f, vv))
-                if nv == field.zero:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
-            for cc, vv in trans[j].items():
-                nv = field.sub(t.get(cc, field.zero), field.mul(f, vv))
-                if nv == field.zero:
-                    t.pop(cc, None)
-                else:
-                    t[cc] = nv
-        if row:
-            pivots[min(row)] = i
-        else:
-            vec = [field.zero] * m
-            for cc, vv in t.items():
-                vec[cc] = vv
-            kernel.append(vec)
-    return kernel
-
-
-class Reducer:
-    """Incremental echelon of dense vectors over a field.
-
-    add() reports whether the vector enlarged the span; express() writes a
-    vector as a combination of the previously added independent vectors.
-    """
-
-    def __init__(self, dim: int, field: FieldSpec):
-        self.dim = dim
-        self.field = field
-        self.rows: list = []  # (pivot, vector, combo) with vector[pivot] == 1
-        self.count = 0  # total vectors offered, used to index combos
-
-    def _reduce(self, vec: list, combo: dict):
-        f = self.field
-        for piv, row, rcombo in self.rows:
-            x = vec[piv]
-            if x == f.zero:
-                continue
-            for k in range(piv, self.dim):
-                if row[k] != f.zero:
-                    vec[k] = f.sub(vec[k], f.mul(x, row[k]))
-            for k, v in rcombo.items():
-                nv = f.sub(combo.get(k, f.zero), f.mul(x, v))
-                if nv == f.zero:
-                    combo.pop(k, None)
-                else:
-                    combo[k] = nv
-        return vec, combo
-
-    def add(self, vec: list) -> bool:
-        f = self.field
-        idx = self.count
-        self.count += 1
-        vec, combo = self._reduce(list(vec), {idx: f.one})
-        for piv in range(self.dim):
-            if vec[piv] != f.zero:
-                inv = f.inv(vec[piv])
-                vec = [f.mul(inv, v) for v in vec]
-                combo = {k: f.mul(inv, v) for k, v in combo.items()}
-                self.rows.append((piv, vec, combo))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def express(self, vec: list) -> Optional[dict]:
-        """Coefficients {added-vector-index: coeff} with vec = -sum coeff*v_i,
-        or None if vec is outside the span."""
-        f = self.field
-        vec, combo = self._reduce(list(vec), {})
-        if any(v != f.zero for v in vec):
-            return None
-        return combo
-
-
-def dense_rank(matrix: list, field: FieldSpec) -> int:
-    """Rank of a dense matrix of field elements (rows as lists)."""
-    if not matrix:
-        return 0
-    red = Reducer(len(matrix[0]), field)
-    for row in matrix:
-        red.add(row)
-    return red.rank

@@ -2,9 +2,11 @@
 
 Everything here recomputes quantities from first principles (monomial
 membership, dense Cech complexes of the quotient ring, chain
-enumeration) without touching the production code paths it checks.
+enumeration, dense Gaussian elimination over Fraction or ints mod p)
+without touching the production code paths it checks.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from svtlab import linalg
@@ -208,3 +210,98 @@ def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(
         if h:
             dims[c - 1] = h
     return dims
+
+
+def dense_rank(matrix, field=FieldSpec(0)) -> int:
+    """Rank of a dense matrix by Gaussian elimination on Fractions or ints mod p."""
+    return len(_row_reduce(matrix, field)[1])
+
+
+def _row_reduce(matrix, field):
+    """(nonzero rows of the reduced row echelon form, their pivot columns)."""
+    p = field.characteristic
+    norm = Fraction if p == 0 else (lambda v: v % p)
+    rows = [[norm(v) for v in row] for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        k = next((k for k in range(top, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[top], rows[k] = rows[k], rows[top]
+        inv = 1 / rows[top][c] if p == 0 else pow(rows[top][c], p - 2, p)
+        rows[top] = [norm(v * inv) for v in rows[top]]
+        for k, row in enumerate(rows):
+            if k != top and row[c]:
+                f = row[c]
+                rows[k] = [norm(a - f * b) for a, b in zip(row, rows[top])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _null_space(matrix, ncols: int, field) -> list:
+    """Basis of {x : matrix x = 0}, one vector per free column."""
+    rows, pivots = _row_reduce(matrix, field)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [0] * ncols
+        x[free] = 1
+        for row, c in zip(rows, pivots):
+            x[c] = -row[free]
+        basis.append(x)
+    return basis
+
+
+def _cech_terms(I: SquareFreeIdeal, pattern: int, k: int) -> list:
+    """k-subsets of the generators whose supports cover the pattern."""
+    if not 0 <= k <= I.r:
+        return []
+    terms = []
+    for T in _subsets(I.r, k):
+        union = 0
+        for t in bits(T):
+            union |= I.generators[t]
+        if union & pattern == pattern:
+            terms.append(T)
+    return terms
+
+
+def _dense_coboundary(rows_terms: list, cols_terms: list) -> list:
+    """Cech signs: S -> S + {s} with sign (-1)^#{t in S : t < s}."""
+    matrix = []
+    for S in rows_terms:
+        row = []
+        for T in cols_terms:
+            added = T & ~S
+            if S & ~T == 0 and popcount(added) == 1:
+                row.append((-1) ** popcount(S & (added - 1)))
+            else:
+                row.append(0)
+        matrix.append(row)
+    return matrix
+
+
+def multiplication_rank_by_cocycles(
+    I: SquareFreeIdeal, i: int, variable: int, pattern: int, field=FieldSpec(0)
+) -> int:
+    """Rank of x_j: H^i(C(N)) -> H^i(C(N minus j)) from an explicit cocycle basis.
+
+    rank([cocycle basis of C(N) at i; coboundaries of C(N minus j) at i])
+    minus the rank of those coboundaries, every complex enumerated here
+    and every rank taken by dense elimination."""
+    target = pattern & ~(1 << variable)
+    src = _cech_terms(I, pattern, i)
+    tgt = _cech_terms(I, target, i)
+    d_src = _dense_coboundary(src, _cech_terms(I, pattern, i + 1))
+    cocycles = _null_space([list(col) for col in zip(*d_src)], len(src), field)
+    pos = [tgt.index(T) for T in src]
+    images = []
+    for z in cocycles:
+        vec = [0] * len(tgt)
+        for k, v in enumerate(z):
+            vec[pos[k]] = v
+        images.append(vec)
+    boundaries = _dense_coboundary(_cech_terms(I, target, i - 1), tgt)
+    return dense_rank(boundaries + images, field) - dense_rank(boundaries, field)

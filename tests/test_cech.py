@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import context_of, fixture_path, proper_ideals
-from oracles import cech_table_dims, localized_piece_dim
+from oracles import cech_table_dims, localized_piece_dim, multiplication_rank_by_cocycles
 
 from svtlab import simplicial
 from svtlab.analysis import grade_check, hlv_check
@@ -41,6 +41,11 @@ Q = FieldSpec(0)
 
 def primes(ctx, *lists):
     return SquareFreeIdeal.intersection_of_primes(ctx, list(lists))
+
+
+def three_axes():
+    """(x1x2, x1x3, x2x3): the three coordinate axes of 3-space."""
+    return SquareFreeIdeal.from_supports(context_of(3), [0b011, 0b101, 0b110])
 
 
 class TestLimits:
@@ -363,3 +368,59 @@ class TestMultiplication:
                 I, i, x1, Q, table=table
             ) and is_multiplication_surjective(I, i, x2, Q, table=table)
             assert is_multiplication_surjective(I, i, x12, Q, table=table) == both
+
+    def test_three_axes_x1_surjective_on_h2(self):
+        # from the sequence for x1, the cokernel is H^2_{(x2x3)}(k[x2, x3]) = 0
+        I = three_axes()
+        x1 = SquareFreeMonomial.from_names(I.context, ["x1"])
+        assert is_multiplication_surjective(I, 2, x1, Q)
+        assert is_divisible(I, 2, Q)
+
+    @pytest.mark.parametrize("i", [-1, 4, 5])  # r = 3: degrees outside 0..r
+    def test_degree_outside_the_complex_is_zero(self, i):
+        mp = multiplication_map(three_axes(), i, 0, 0b111, Q)
+        assert (mp.source_dim, mp.target_dim, mp.rank) == (0, 0, 0)
+        assert mp.is_surjective
+
+
+class TestMultiplicationAgainstOracles:
+    """multiplication_map's rank formula against explicit cocycle bases."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=2, max_n=5, max_gens=5))
+    @settings(max_examples=100, deadline=None)
+    @example(I=three_axes())
+    @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
+    def test_rank_equals_cocycle_oracle(self, field, I):
+        n = I.context.n
+        dims = cech_table_dims(I, field)
+        for i in range(I.r + 1):
+            for j in range(n):
+                for pattern in range(1 << n):
+                    if not pattern >> j & 1:
+                        continue
+                    mp = multiplication_map(I, i, j, pattern, field)
+                    assert mp.rank == multiplication_rank_by_cocycles(I, i, j, pattern, field)
+                    assert mp.source_dim == dims.get((i, pattern), 0)
+                    assert mp.target_dim == dims.get((i, mp.target_pattern), 0)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=2, max_n=5, max_gens=5))
+    @settings(max_examples=100, deadline=None)
+    @example(I=three_axes())
+    def test_top_degree_cokernel(self, field, I):
+        # 0 -> S(-1) -> S -> S/x_j -> 0 and H^{cd+1}_I(S) = 0 make the
+        # cokernel of x_j on H^cd_I(S) equal to H^cd_J(S/x_j), J generated
+        # by the generators that miss j, in the other n - 1 variables
+        n = I.context.n
+        dims = cech_table_dims(I, field)
+        cd = max(i for i, _ in dims)
+        for j in range(n):
+            low = (1 << j) - 1
+            J = SquareFreeIdeal.from_supports(
+                context_of(n - 1),
+                [g & low | g >> (j + 1) << j for g in I.generators if not g >> j & 1],
+            )
+            cokernel_zero = all(i != cd for i, _ in cech_table_dims(J, field))
+            x = SquareFreeMonomial(I.context, 1 << j)
+            assert is_multiplication_surjective(I, cd, x, field) == cokernel_zero

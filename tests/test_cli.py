@@ -129,6 +129,20 @@ class TestCommands:
         )
         assert code == 0 and json.loads(out)["surjective"] is False
 
+    def test_surjectivity_three_axes(self, capsys, tmp_path):
+        axes = tmp_path / "axes.json"
+        axes.write_text(json.dumps({
+            "variables": ["x1", "x2", "x3"],
+            "ideal": {"generators": [["x1", "x2"], ["x1", "x3"], ["x2", "x3"]]},
+        }))
+        code, out, _ = invoke(
+            capsys, "surjectivity", "--input", str(axes),
+            "--degree", "2", "--monomial", "x1", "--no-cache",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["surjective"] is True and doc["divisible"] is True
+
     def test_mv_ok(self, capsys, tmp_path):
         second = tmp_path / "q2.json"
         second.write_text(json.dumps({
@@ -216,6 +230,33 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "analyze", "--bogus")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", fixture_path("ex47.json"), "--bogus"],
+            ["analyze"],
+            [],
+            ["frobnicate"],
+            ["surjectivity", "--input", fixture_path("ex313.json"),
+             "--degree", "two", "--monomial", "x"],
+            # graph builds no table, so it takes no engine caps
+            ["graph", "--input", fixture_path("ex47.json"), "--kind", "theta",
+             "--max-vars", "3"],
+        ],
+        ids=["unknown-flag", "missing-input", "missing-command", "unknown-command",
+             "bad-int", "graph-cap-flag"],
+    )
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input_error"
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = invoke(capsys, "analyze", "--help")
+        assert code == 0 and "--input" in out and err == ""
 
 
 class TestConsoleScript:

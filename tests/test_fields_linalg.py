@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_rank
 from svtlab.fields import MAX_CHARACTERISTIC, FieldSpec
-from svtlab.linalg import Reducer, dense_rank, left_kernel_basis, rank
+from svtlab.linalg import rank
 
 
 class TestFieldSpec:
@@ -20,18 +21,6 @@ class TestFieldSpec:
             FieldSpec(6)
         with pytest.raises(ValueError):
             FieldSpec(1)
-
-    def test_rational_arithmetic(self):
-        F = FieldSpec(0)
-        half = F.mul(F.one, F.inv(F.of(2)))
-        assert half == Fraction(1, 2)
-        assert F.add(half, half) == F.one
-
-    def test_prime_arithmetic(self):
-        F = FieldSpec(5)
-        assert F.of(7) == 2
-        assert F.mul(F.of(3), F.inv(F.of(3))) == F.one
-        assert F.neg(F.of(2)) == 3
 
 
 class TestLargeCharacteristic:
@@ -92,42 +81,22 @@ class TestRank:
             {j: v for j, v in enumerate(row) if v} for row in dense
         ]
         F = FieldSpec(0)
-        expected = dense_rank([[F.of(v) for v in row] for row in dense], F)
+        expected = dense_rank(dense, F)
         assert rank(sparse, F) == expected
         assert rank(sparse, FieldSpec(101)) == expected  # large prime: no collapse at these sizes
 
 
-class TestKernel:
-    def test_left_kernel_of_injective_map(self):
-        rows = [{0: 1}, {1: 1}]
-        assert left_kernel_basis(rows, FieldSpec(0)) == []
+class TestDenseRankOracle:
+    """The dense elimination in tests/oracles.py that the sparse ranks are checked against."""
 
-    def test_left_kernel_dimension(self):
-        F = FieldSpec(0)
-        rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}]
-        kernel = left_kernel_basis(rows, F)
-        assert len(kernel) == 2
-        # every kernel vector annihilates the rows
-        for vec in kernel:
-            for col in (0, 1):
-                s = sum(vec[i] * rows[i].get(col, 0) for i in range(3))
-                assert s == 0
+    def test_rational_arithmetic(self):
+        # the second row is half the first: the pivot 2 is inverted as 1/2
+        assert dense_rank([[2, 1], [1, Fraction(1, 2)]], FieldSpec(0)) == 1
+        assert dense_rank([[2, 1], [4, 3]], FieldSpec(0)) == 2
 
-
-class TestReducer:
-    def test_add_and_rank(self):
-        F = FieldSpec(0)
-        r = Reducer(3, F)
-        assert r.add([F.of(1), F.zero, F.zero])
-        assert r.add([F.of(1), F.of(1), F.zero])
-        assert not r.add([F.of(2), F.of(1), F.zero])  # dependent
-        assert r.rank == 2
-
-    def test_express_convention(self):
-        # express(v) returns coefficients c with v + sum c_k * original_k = 0
-        F = FieldSpec(0)
-        r = Reducer(2, F)
-        r.add([F.of(1), F.of(2)])
-        combo = r.express([F.of(3), F.of(6)])
-        assert combo == {0: F.of(-3)}
-        assert r.express([F.of(1), F.zero]) is None
+    def test_prime_arithmetic(self):
+        # det [[3, 1], [1, 2]] = 5; 7 reduces to 0 mod 7
+        assert dense_rank([[3, 1], [1, 2]], FieldSpec(0)) == 2
+        assert dense_rank([[3, 1], [1, 2]], FieldSpec(3)) == 2
+        assert dense_rank([[3, 1], [1, 2]], FieldSpec(5)) == 1
+        assert dense_rank([[7, 14]], FieldSpec(7)) == 0
