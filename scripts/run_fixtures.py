@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Analyze every shipped fixture and print one verdict line each.
 
+Exits 1 when a Hartshorne-Lichtenbaum or grade sentinel fails, or when a
+fixture with dim(S/I) >= 1 reports agreement=False (for an m-primary
+ideal, dim 0, both sides of the equivalence are degenerate); else 0.
+
 Usage: python scripts/run_fixtures.py [--field CHAR]
 """
 
@@ -11,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from svtlab.analysis import svt_check
+from svtlab.analysis import grade_check, hlv_check, svt_check
 from svtlab.cech import CapExceededError, local_cohomology_table
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
@@ -21,12 +25,13 @@ FIXTURES = os.path.abspath(
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--field", default="0", help="field characteristic (0 or a prime)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     field = FieldSpec.parse(args.field)
 
+    failed = []
     for name in sorted(os.listdir(FIXTURES)):
         if not name.endswith(".json"):
             continue
@@ -38,13 +43,20 @@ def main() -> int:
             print(f"{name:22s} SKIPPED (cap): {e}")
             continue
         report = svt_check(ideal, field, table=table)
+        hlv = hlv_check(ideal, field, table=table)
+        grade = grade_check(ideal, field, table=table)
         print(
             f"{name:22s} n={ideal.context.n} dim={report.dim_quotient} "
             f"depth={report.depth} cd={report.cd} q={report.q} "
             f"connected={report.connected} "
             f"H^(n-1)=0:{report.vanishing_top_minus_one} "
-            f"agreement={report.agreement}"
+            f"agreement={report.agreement} hlv={hlv} grade={grade}"
         )
+        if not (hlv and grade) or (report.dim_quotient >= 1 and not report.agreement):
+            failed.append(name)
+    if failed:
+        print(f"FAILED: {', '.join(failed)}")
+        return 1
     return 0
 
 

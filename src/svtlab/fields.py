@@ -1,4 +1,4 @@
-"""Coefficient field selection for the exact linear algebra kernels.
+"""Coefficient field selection for the exact linear algebra.
 
 The default field is the rationals (ranks computed by fraction-free
 integer elimination, so no floating point anywhere).  Finite prime
@@ -10,8 +10,9 @@ plus and minus ranks of sparse integer matrices.  That includes the rank
 of multiplication by x_j on H^i: the Cech complex of the source pattern
 is a subcomplex, with the same signs, of the complex of the target, so
 the rank of the induced map is read off ranks of the two coboundaries
-(cech.multiplication_map states the formula), and linalg takes those
-ranks on native ints.
+(cech.multiplication_map states the formula).  linalg takes every rank
+with one sparse elimination: fraction-free on integers over Q, on native
+ints mod p over GF(p).
 """
 
 from __future__ import annotations

@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .ideals import (
-    CoordinatePrime,
-    SquareFreeIdeal,
-    dim_quotient,
-    is_m_primary,
-    minimal_primes,
-    popcount,
-    sum_ideals,
-)
+from .ideals import SquareFreeIdeal, dim_quotient, minimal_primes, popcount
 
 THETA = "theta"
 GAMMA = "gamma"
@@ -46,13 +38,17 @@ class ConnectivityGraph:
 
 
 def theta_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
-    """Edge {i,j} iff p_i + p_j is not m-primary."""
+    """Edge {i,j} iff p_i + p_j is not m-primary.
+
+    A sum of coordinate primes is the coordinate prime on the union of
+    their variables, so it is m-primary iff that union is every variable.
+    """
     primes = minimal_primes(I)
+    full = I.context.full_mask
     edges = set()
     for i in range(len(primes)):
         for j in range(i + 1, len(primes)):
-            s = sum_ideals(primes[i].as_ideal(), primes[j].as_ideal())
-            if not is_m_primary(s):
+            if primes[i].variables | primes[j].variables != full:
                 edges.add((i, j))
     return ConnectivityGraph(THETA, primes, frozenset(edges))
 

@@ -250,18 +250,14 @@ def _require_analyzable(I: SquareFreeIdeal):
         raise IdealDomainError("the unit ideal is not accepted here")
 
 
-def minimal_primes(I: SquareFreeIdeal, max_generators: int = 20) -> tuple:
-    """Minimal primes over I, as minimal transversals of the generator supports.
+def _minimal_transversals(I: SquareFreeIdeal) -> tuple:
+    """Minimal variable sets meeting every generator support, as bitmasks.
 
     Incremental hitting-set expansion: branch on the variables of the first
     generator the partial transversal misses, with a final irredundancy
-    filter.  Returned in lexicographic order of variable index sets.
+    filter.  Each set is built at most once, so the search visits at most
+    2^n nodes.
     """
-    _require_analyzable(I)
-    if I.r > max_generators:
-        raise CapExceededError(
-            f"{I.r} generators exceeds the transversal cap {max_generators}"
-        )
     gens = sorted(I.generators, key=popcount)
     found = []
 
@@ -278,11 +274,20 @@ def minimal_primes(I: SquareFreeIdeal, max_generators: int = 20) -> tuple:
             banned |= 1 << v
 
     extend(0, 0)
-    minimal = [
-        t for t in found
-        if not any(s != t and s & t == s for s in found)
-    ]
-    minimal.sort(key=lambda m: tuple(bits(m)))
+    return minimize_supports(found)
+
+
+def minimal_primes(I: SquareFreeIdeal, max_generators: int = 20) -> tuple:
+    """Minimal primes over I, as minimal transversals of the generator supports.
+
+    Returned in lexicographic order of variable index sets.
+    """
+    _require_analyzable(I)
+    if I.r > max_generators:
+        raise CapExceededError(
+            f"{I.r} generators exceeds the transversal cap {max_generators}"
+        )
+    minimal = sorted(_minimal_transversals(I), key=lambda m: tuple(bits(m)))
     return tuple(CoordinatePrime(I.context, m) for m in minimal)
 
 
@@ -295,20 +300,17 @@ def is_m_primary(I: SquareFreeIdeal) -> bool:
 
 
 def stanley_reisner_facets(I: SquareFreeIdeal) -> tuple:
-    """Facets of {F : no generator support contained in F}, by direct enumeration.
+    """Facets of {F : no generator support contained in F}, sorted.
 
-    Deliberately independent of minimal_primes (the two are dual and the
-    test suite pits them against each other).
+    A face misses a set of variables that meets every generator, so the
+    facets are the complements of the minimal transversals (the minimal
+    primes); the maximal ideal gives the empty face alone, (0,).  The test
+    suite checks them against a direct enumeration of all 2^n subsets,
+    which is the independent route.
     """
     _require_analyzable(I)
-    n = I.context.n
-    faces = [F for F in range(1 << n) if not I.contains_monomial(F)]
-    face_set = set(faces)
-    facets = [
-        F for F in faces
-        if all((F | (1 << v)) not in face_set for v in range(n) if not F & (1 << v))
-    ]
-    return tuple(sorted(facets))
+    full = I.context.full_mask
+    return tuple(sorted(full & ~t for t in _minimal_transversals(I)))
 
 
 def dim_quotient(I: SquareFreeIdeal) -> int:

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import context_of, fixture_path, seeded_random_ideals
+from oracles import brute_force_facets
 
 from svtlab.analysis import (
     grade_check,
@@ -38,7 +39,6 @@ from svtlab.ideals import (
     dim_quotient,
     intersect,
     minimal_primes,
-    stanley_reisner_facets,
     sum_ideals,
 )
 from svtlab.simplicial import depth_quotient, finite_length, hochster_table
@@ -230,7 +230,7 @@ def test_criterion_09_dual_algorithm_consistency():
             continue  # both sides undefined for degenerate draws
         full = ctx.full_mask
         via_transversals = sorted(p.variables for p in minimal_primes(I))
-        via_facets = sorted(full & ~F for F in stanley_reisner_facets(I))
+        via_facets = sorted(full & ~F for F in brute_force_facets(I))
         if via_transversals != via_facets:
             mismatches += 1
     report(9, mismatches == 0, "500 random ideals, n <= 8, 0 mismatches")

@@ -9,6 +9,16 @@ from oracles import dense_rank
 from svtlab.fields import MAX_CHARACTERISTIC, FieldSpec
 from svtlab.linalg import rank
 
+FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3)]
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Dense matrices up to 12 x 12 with entries in -4..4 (non-unit pivots included)."""
+    m = draw(st.integers(1, 12))
+    row = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    return draw(st.lists(row, max_size=12))
+
 
 class TestFieldSpec:
     def test_parse(self):
@@ -83,7 +93,25 @@ class TestRank:
         F = FieldSpec(0)
         expected = dense_rank(dense, F)
         assert rank(sparse, F) == expected
-        assert rank(sparse, FieldSpec(101)) == expected  # large prime: no collapse at these sizes
+        # every minor is at most 3^5 * 5^(5/2) < 13600 in absolute value (Hadamard),
+        # so no nonzero minor vanishes mod 65537 (101 divides some 4 x 4 minors)
+        assert rank(sparse, FieldSpec(65537)) == expected
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(dense=small_int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_rank_over_each_field(self, field, dense):
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert rank(sparse, field) == dense_rank(dense, field)
+
+    def test_does_not_mutate_rows(self):
+        # cech.multiplication_map hands the same rows to two rank calls;
+        # these rows hit the scaling path over Q, cancel and reduce mod p
+        rows = [{0: 2, 1: 3}, {0: 5, 1: 7}, {0: 7, 1: 10}, {0: 4, 1: 6}, {}, {2: 9}]
+        snapshot = [dict(r) for r in rows]
+        for field in FIELDS:
+            rank(rows, field)
+            assert rows == snapshot
 
 
 class TestDenseRankOracle:

@@ -8,8 +8,10 @@ from svtlab.ideals import (
     SquareFreeIdeal,
     VariableContext,
     dim_quotient,
+    is_m_primary,
     minimal_primes,
     popcount,
+    sum_ideals,
 )
 from svtlab.graphs import (
     GAMMA,
@@ -65,6 +67,19 @@ class TestTheta:
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
         assert not punctured_spectrum_connected(I)
+
+    @given(proper_ideals(max_n=6, max_gens=6))
+    @settings(max_examples=120, deadline=None)
+    def test_edges_match_sum_of_primes_definition(self, I):
+        # the definition, on ideal objects: p_i + p_j is not m-primary
+        ps = minimal_primes(I)
+        expected = {
+            (i, j)
+            for i in range(len(ps))
+            for j in range(i + 1, len(ps))
+            if not is_m_primary(sum_ideals(ps[i].as_ideal(), ps[j].as_ideal()))
+        }
+        assert theta_graph(I).edges == frozenset(expected)
 
 
 class TestQuotientHeight:

@@ -128,13 +128,15 @@ class TestMinimalPrimes:
     @given(proper_ideals())
     @settings(max_examples=120, deadline=None)
     def test_duality_with_facets(self, I):
-        # transversal enumeration vs facet complements: two independent routes
+        # transversal search vs complements of the enumerated facets:
+        # stanley_reisner_facets shares the search, so the oracle enumerates
         if I.is_zero or I.is_unit:
             return
         full = I.context.full_mask
         via_transversals = sorted(p.variables for p in minimal_primes(I))
-        via_facets = sorted(full & ~F for F in stanley_reisner_facets(I))
+        via_facets = sorted(full & ~F for F in brute_force_facets(I))
         assert via_transversals == via_facets
+        assert stanley_reisner_facets(I) == tuple(brute_force_facets(I))
 
 
 class TestIsMPrimary:

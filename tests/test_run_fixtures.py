@@ -1,0 +1,46 @@
+"""scripts/run_fixtures.py: its exit code reports sentinel and agreement failures."""
+
+import dataclasses
+import importlib.util
+import json
+import os
+
+from conftest import fixture_path
+
+from svtlab.cli import parse_ideal_document
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_fixtures.py")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_fixtures", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_main_returns_0_over_q(capsys):
+    assert load_script().main([]) == 0
+    out = capsys.readouterr().out
+    assert "max_ideal_n2.json" in out and "agreement=False" in out  # m-primary: exempt
+    assert "FAILED" not in out
+
+
+def test_disagreement_on_a_positive_dimensional_fixture_returns_1(monkeypatch, capsys):
+    script = load_script()
+    with open(fixture_path("two_planes.json")) as fh:
+        two_planes = parse_ideal_document(json.load(fh))
+    real = script.svt_check
+
+    def flipped(ideal, *args, **kwargs):
+        report = real(ideal, *args, **kwargs)
+        if ideal == two_planes:
+            report = dataclasses.replace(
+                report, vanishing_top_minus_one=not report.vanishing_top_minus_one
+            )
+            assert report.dim_quotient >= 1 and not report.agreement
+        return report
+
+    monkeypatch.setattr(script, "svt_check", flipped)
+    assert script.main([]) == 1
+    assert "FAILED: two_planes.json" in capsys.readouterr().out
