@@ -27,22 +27,26 @@ generator-side facets share one computation through a memo local to the
 table call.  Ranks are taken exactly (integer elimination over Q, or
 mod p).
 
-The full sign complex (GradedComplex) is still built for the
-multiplication maps, and the resource caps are checked against its size.
-Multiplication by x_j sends pattern N to N \\ {j}, and the complex of N
-is a subcomplex (same signs) of the complex of N \\ {j}; so the rank of
-the induced map on H^i comes from sparse ranks alone: the cocycles of
-the subcomplex, less the coboundaries of the larger complex, plus the
-coboundaries that vanish on the terms outside the subcomplex
-(multiplication_map states the formula).  No cohomology basis is built.
+Multiplication by x_j sends pattern N to N \\ {j}.  On either side the
+complex K_{N \\ {j}} is a subcomplex of K_N (fewer facets on the
+generators, an induced subcomplex on the variables), and x_j is the
+restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}); multiplication_map
+builds both on the side N selects and takes the rank of the restriction
+from five sparse ranks (simplicial.restriction_rank):
+
+    rank = |L_d| - rk d_L^{d-1} - rk d_K^d + rk d_(K,L)^d,  d = i - 2,
+
+with d_(K,L) the coboundary of K on the d-faces outside L.  No cohomology
+basis is built.  GradedComplex and build_graded_complex, the 2^r sign
+complex of one pattern, are kept only as the tests' Cech oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from . import linalg, simplicial
+from . import simplicial
 from .fields import FieldSpec
 from .ideals import (
     CapExceededError,
@@ -55,11 +59,14 @@ from .ideals import (
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Resource guards; the defaults admit the 8-variable, 9-generator fixtures."""
+    """Resource guards; the defaults admit the 8-variable, 9-generator fixtures.
+
+    A pattern's Dowker complex lives on min(r, |N|) <= n vertices, so
+    max_vars bounds the faces any one computation visits.
+    """
 
     max_vars: int = 8
     max_generators: int = 20
-    max_matrix_cells: int = 2_000_000  # per-pattern sum of |C^k| * |C^{k+1}|
 
     def check(self, I: SquareFreeIdeal):
         if I.context.n > self.max_vars:
@@ -71,32 +78,14 @@ class EngineLimits:
             raise CapExceededError(
                 f"{I.r} generators exceeds the engine cap {self.max_generators}"
             )
-        r = I.r
-        cells = sum(
-            _binom(r, k) * _binom(r, k + 1) for k in range(r)
-        )
-        if cells > self.max_matrix_cells:
-            raise CapExceededError(
-                f"estimated matrix cells {cells} exceed the budget "
-                f"{self.max_matrix_cells}"
-            )
 
 
 DEFAULT_LIMITS = EngineLimits()
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 @dataclass
 class GradedComplex:
-    """The degree-class complex of one negativity pattern."""
+    """The Cech complex of one negativity pattern (the tests' oracle)."""
 
     r: int
     pattern: int
@@ -195,11 +184,7 @@ def local_cohomology_table(
     if not I.is_proper or I.is_zero:
         raise ValueError("local cohomology table needs a proper nonzero ideal")
     limits.check(I)
-    n, r, supports = I.context.n, I.r, I.generators
-    # misses[j]: the generators whose support does not contain variable j
-    misses = [
-        sum(1 << t for t, g in enumerate(supports) if not g >> j & 1) for j in range(n)
-    ]
+    generator_facets = _generator_facets(I)
     union = I.support_union()
     memo: Dict[tuple, Dict[int, int]] = {}  # generator-side facets -> H~^*
     dims: Dict[Tuple[int, int], int] = {}
@@ -209,23 +194,43 @@ def local_cohomology_table(
         patterns.append(sub)
         sub = (sub - 1) & union
     for pattern in sorted(patterns):
-        if any(not g & pattern for g in supports):
+        if any(not g & pattern for g in I.generators):
             continue
-        facets = simplicial.maximal_faces(misses[j] for j in bits(pattern))
+        facets = generator_facets(pattern)
         coh = memo.get(facets)
         if coh is None:
-            # both sides have the same cohomology (Dowker); take the one
-            # with fewer vertices
-            if r <= popcount(pattern):
-                delta = simplicial.SimplicialComplex(r, facets)
-            else:
-                delta = simplicial.SimplicialComplex(
-                    n, simplicial.maximal_faces(pattern & ~g for g in supports)
-                )
+            delta = _dowker_complex(I, facets, pattern, pattern)
             coh = memo[facets] = simplicial.reduced_cohomology(delta, field)
         for d, h in coh.items():
             dims[(d + 2, pattern)] = h
     return CohomologyTable(I, field, dims)
+
+
+def _generator_facets(I: SquareFreeIdeal) -> Callable[[int], tuple]:
+    """N -> the facets {t : j not in supp(f_t)}, j in N, of the generator side."""
+    # misses[j]: the generators whose support does not contain variable j
+    misses = [
+        sum(1 << t for t, g in enumerate(I.generators) if not g >> j & 1)
+        for j in range(I.context.n)
+    ]
+    return lambda pattern: simplicial.maximal_faces(misses[j] for j in bits(pattern))
+
+
+def _dowker_complex(
+    I: SquareFreeIdeal, facets: tuple, pattern: int, side: int
+) -> simplicial.SimplicialComplex:
+    """The complex of pattern N with H~^{i-2} = H^i_I(S)_N, N nonempty.
+
+    `facets` are N's generator-side facets.  The complex is on the
+    generators when r <= |side|, else on the variables (facets N minus
+    supp(f_t)); both sides have the same cohomology (Dowker), and the table
+    takes side = N, the one with fewer vertices.  On either side the
+    complex of a subset of N is a subcomplex.
+    """
+    if I.r <= popcount(side):
+        return simplicial.SimplicialComplex(I.r, facets)
+    vertex_facets = simplicial.maximal_faces(pattern & ~g for g in I.generators)
+    return simplicial.SimplicialComplex(I.context.n, vertex_facets)
 
 
 def is_vanishing(
@@ -305,44 +310,30 @@ def multiplication_map(
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> InducedMap:
-    """Induced map H^i(A) -> H^i(B), A = C(N) and B = C(N \\ {j}), j in N.
+    """x_j: H^i_I(S)_N -> H^i_I(S)_{N \\ {j}} for j in N.
 
-    A is a subcomplex of B with the same signs (a subset covering N covers
-    N \\ {j}, and adding a generator keeps the cover), and the map is the
-    one the inclusion induces; patterns with j outside N change nothing and
-    are isomorphisms, so only these comparison maps are computed.  The
-    image of Z^i(A) meets B^i(B) in the coboundaries of B that vanish on
-    Q_i = B_i \\ A_i, that is d_B of the kernel of d_B^{i-1} restricted to
-    the Q_i columns, so
-
-        rank = (|A_i| - rk d_A^i) - rk d_B^{i-1} + rk (d_B^{i-1} on Q_i).
+    Patterns with j outside N change nothing under x_j and are
+    isomorphisms, so only these comparison maps are computed.  The map is
+    the restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}) between the
+    Dowker complexes of the two patterns, both on the side N selects, and
+    its rank is simplicial.restriction_rank's.  The target is 0 when
+    N \\ {j} is empty.
     """
     b = 1 << variable
     if not pattern & b:
         raise ValueError("the variable must lie in the source pattern")
+    target = pattern & ~b
     if not 0 <= i <= I.r:
-        return InducedMap(i, variable, pattern, pattern & ~b, 0, 0, 0)
-    src = build_graded_complex(I, pattern, limits)
-    tgt = build_graded_complex(I, pattern & ~b, limits)
-
-    def rk(rows: list) -> int:
-        return linalg.rank(rows, field)
-
-    in_src = set(src.active[i])
-    outside = {c for c, T in enumerate(tgt.active[i]) if T not in in_src}
-    boundaries = tgt.differential(i - 1)
-    cocycles = len(src.active[i]) - rk(src.differential(i))
-    rk_boundaries = rk(boundaries)
-    rk_outside = rk([{c: v for c, v in row.items() if c in outside} for row in boundaries])
-    return InducedMap(
-        i=i,
-        variable=variable,
-        source_pattern=pattern,
-        target_pattern=pattern & ~b,
-        source_dim=cocycles - rk(src.differential(i - 1)),
-        target_dim=len(tgt.active[i]) - rk(tgt.differential(i)) - rk_boundaries,
-        rank=cocycles - rk_boundaries + rk_outside,
-    )
+        return InducedMap(i, variable, pattern, target, 0, 0, 0)
+    limits.check(I)
+    generator_facets = _generator_facets(I)
+    delta = _dowker_complex(I, generator_facets(pattern), pattern, pattern)
+    if not target:
+        source = simplicial.reduced_cohomology(delta, field).get(i - 2, 0)
+        return InducedMap(i, variable, pattern, target, source, 0, 0)
+    sub = _dowker_complex(I, generator_facets(target), target, pattern)
+    source, target_dim, rank = simplicial.restriction_rank(delta, sub, i - 2, field)
+    return InducedMap(i, variable, pattern, target, source, target_dim, rank)
 
 
 def is_multiplication_surjective(

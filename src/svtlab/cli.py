@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 cap/budget refusal, 3 sentinel
+Exit codes: 0 success, 1 input error, 2 cap refusal, 3 sentinel
 failure (hlv/grade/MV returned False).  Errors go to stderr as JSON.
 """
 
@@ -83,11 +83,7 @@ def ideal_echo(I: SquareFreeIdeal) -> dict:
 
 
 def _limits_from_args(args) -> EngineLimits:
-    return EngineLimits(
-        max_vars=args.max_vars,
-        max_generators=args.max_generators,
-        max_matrix_cells=args.cell_budget,
-    )
+    return EngineLimits(max_vars=args.max_vars, max_generators=args.max_generators)
 
 
 def _emit(payload: dict, args):
@@ -260,7 +256,6 @@ def _add_common(p, with_engine=True, with_cache=True):
         )
         p.add_argument("--max-vars", type=int, default=EngineLimits.max_vars)
         p.add_argument("--max-generators", type=int, default=EngineLimits.max_generators)
-        p.add_argument("--cell-budget", type=int, default=EngineLimits.max_matrix_cells)
     if with_cache:
         p.add_argument("--cache-dir", help="cache directory (default: $SVTLAB_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")

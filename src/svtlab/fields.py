@@ -7,12 +7,12 @@ fields are available for speed and for characteristic experiments.
 A FieldSpec only selects and labels the field: it has no element
 arithmetic, because every quantity svtlab computes is a count of terms
 plus and minus ranks of sparse integer matrices.  That includes the rank
-of multiplication by x_j on H^i: the Cech complex of the source pattern
-is a subcomplex, with the same signs, of the complex of the target, so
-the rank of the induced map is read off ranks of the two coboundaries
-(cech.multiplication_map states the formula).  linalg takes every rank
-with one sparse elimination: fraction-free on integers over Q, on native
-ints mod p over GF(p).
+of multiplication by x_j on H^i: it is the restriction from the Dowker
+complex of the source pattern to its subcomplex for the target, so its
+rank is read off ranks of coboundaries of the two complexes and of the
+pair (simplicial.restriction_rank states the formula).  linalg takes
+every rank with one sparse elimination: fraction-free on integers over
+Q, on native ints mod p over GF(p).
 """
 
 from __future__ import annotations
@@ -80,5 +80,3 @@ class FieldSpec:
             return cls(0)
         return cls(int(text))
 
-
-RATIONALS = FieldSpec(0)

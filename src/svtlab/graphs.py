@@ -9,7 +9,6 @@ through Theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .ideals import SquareFreeIdeal, dim_quotient, minimal_primes, popcount
 
@@ -28,13 +27,6 @@ class ConnectivityGraph:
         for i, j in self.edges:
             if not (0 <= i < j < t):
                 raise ValueError("edge references invalid vertex indices")
-
-    def adjacency(self) -> list:
-        adj = [set() for _ in self.vertices]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
 
 def theta_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
@@ -100,28 +92,6 @@ def is_connected(G: ConnectivityGraph) -> bool:
     for i, j in G.edges:
         parent[find(i)] = find(j)
     return len({find(i) for i in range(t)}) == 1
-
-
-def connected_ordering(G: ConnectivityGraph) -> Optional[list]:
-    """A vertex order whose every prefix induces a connected subgraph.
-
-    BFS from vertex 0 gives one whenever the graph is connected; None if it
-    is not.
-    """
-    if not is_connected(G):
-        return None
-    adj = G.adjacency()
-    order = [0]
-    seen = {0}
-    frontier = sorted(adj[0])
-    while frontier:
-        v = frontier.pop(0)
-        if v in seen:
-            continue
-        seen.add(v)
-        order.append(v)
-        frontier.extend(sorted(adj[v] - seen))
-    return order
 
 
 def punctured_spectrum_connected(I: SquareFreeIdeal) -> bool:

@@ -23,7 +23,7 @@ class IdealDomainError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A configurable resource cap (variables, generators, matrix budget) was hit."""
+    """A configurable resource cap (variables or generators) was hit."""
 
 
 def popcount(mask: int) -> int:
@@ -184,9 +184,6 @@ class SquareFreeIdeal:
         for g in self.generators:
             u |= g
         return u
-
-    def contains_monomial(self, support: int) -> bool:
-        return any(g & support == g for g in self.generators)
 
     def generator_lists(self) -> list:
         return [list(self.context.names_of(g)) for g in self.generators]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import linalg
 from .fields import FieldSpec
@@ -124,13 +124,6 @@ def maximal_faces(masks) -> tuple:
     return tuple(sorted(kept))
 
 
-def reduced_euler_characteristic(delta: SimplicialComplex) -> int:
-    """sum over nonempty-and-empty faces of (-1)^(|F|-1); VOID gives 0."""
-    return sum(
-        (-1) ** (c - 1) * len(level) for c, level in enumerate(delta.faces_by_card())
-    )
-
-
 def _coboundary_rows(src: list, tgt: list) -> list:
     """Rows = faces in src (c vertices), columns = faces in tgt (c+1 vertices).
 
@@ -169,6 +162,40 @@ def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, 
     return dims
 
 
+def restriction_rank(
+    delta: SimplicialComplex, sub: SimplicialComplex, d: int, field: FieldSpec
+) -> Tuple[int, int, int]:
+    """(dim H~^d(delta), dim H~^d(sub), rank of the restriction between them).
+
+    sub is a subcomplex of delta.  The cochains of delta vanishing on sub
+    form a subcomplex C(delta, sub) with the same signs, and the image of
+    H~^d(delta, sub) in H~^d(delta) is the kernel of the restriction; the
+    coboundaries of delta into sub's d-faces are those of sub, so
+
+        rank = |sub_d| - rk d_sub^{d-1} - rk d_delta^d + rk d_(delta,sub)^d,
+
+    with d_(delta,sub) the coboundary of delta on the d-faces outside sub.
+    """
+    big, small = delta.faces_by_card(), sub.faces_by_card()
+
+    def level(levels: list, c: int) -> list:
+        return levels[c] if 0 <= c < len(levels) else []
+
+    def rk(levels: list, c: int) -> int:  # the coboundary out of c-vertex faces
+        return linalg.rank(_coboundary_rows(level(levels, c), level(levels, c + 1)), field)
+
+    c = d + 1  # d-faces have d + 1 vertices
+    faces, in_sub = level(big, c), set(level(small, c))
+    up = _coboundary_rows(faces, level(big, c + 1))
+    rk_up, rk_sub_down = linalg.rank(up, field), rk(small, c - 1)
+    rk_rel = linalg.rank([row for f, row in zip(faces, up) if f not in in_sub], field)
+    return (
+        len(faces) - rk_up - rk(big, c - 1),
+        len(in_sub) - rk(small, c) - rk_sub_down,
+        len(in_sub) - rk_sub_down - rk_up + rk_rel,
+    )
+
+
 def hochster_table(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int], int]:
     """Nonzero entries (i, face mask F) -> dim H~^{i-|F|-1}(link F; k).
 
@@ -195,15 +222,6 @@ def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
     return min(i for i, _ in hochster_table(I, field))
 
 
-def finite_length(
-    I: SquareFreeIdeal,
-    i: int,
-    field: FieldSpec,
-    table: Optional[Dict[Tuple[int, int], int]] = None,
-) -> bool:
-    """True iff H^i_m(S/I) has finite length: only the F = empty column may be nonzero.
-
-    `table` is hochster_table(I, field) when the caller already has it.
-    """
-    table = table if table is not None else hochster_table(I, field)
-    return all(face == 0 for (row, face) in table if row == i)
+def finite_length(I: SquareFreeIdeal, i: int, field: FieldSpec) -> bool:
+    """True iff H^i_m(S/I) has finite length: only the F = empty column may be nonzero."""
+    return all(face == 0 for (row, face) in hochster_table(I, field) if row == i)

@@ -150,7 +150,7 @@ def cech_table_dims(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
     The complex of pattern N has the generator subsets T whose supports
     cover N at position |T| (all 2^r subsets are visited), so this is the
     Cech complex itself, with no skipped pattern and no duality."""
-    limits = EngineLimits(max_vars=I.context.n, max_matrix_cells=10**9)
+    limits = EngineLimits(max_vars=I.context.n)
     dims = {}
     for pattern in range(1 << I.context.n):
         cx = build_graded_complex(I, pattern, limits)
@@ -186,6 +186,13 @@ def hochster_table_all_faces(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
         for d, h in reduced_cohomology_by_elimination(lk, field).items():
             table[(d + popcount(face) + 1, face)] = h
     return table
+
+
+def reduced_euler_characteristic(delta: SimplicialComplex) -> int:
+    """sum over nonempty-and-empty faces of (-1)^(|F|-1); VOID gives 0."""
+    return sum(
+        (-1) ** (c - 1) * len(level) for c, level in enumerate(delta.faces_by_card())
+    )
 
 
 def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(0)) -> dict:

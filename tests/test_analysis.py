@@ -229,5 +229,5 @@ class TestPrimeHypothesisClosedForm:
         with open(fixture_path(name)) as fh:
             I = parse_ideal_document(json.load(fh))
         # ex45_n3 has 9 variables and 12 generators, past the default caps
-        limits = EngineLimits(max_vars=9, max_generators=12, max_matrix_cells=10**8)
+        limits = EngineLimits(max_vars=9, max_generators=12)
         assert_finite_length_hypotheses_match_hochster(I, Q, limits)

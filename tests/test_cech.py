@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import cech_table_dims, localized_piece_dim, multiplication_rank_by_cocycles
 
-from svtlab import simplicial
+from svtlab import cech, simplicial
 from svtlab.analysis import grade_check, hlv_check
 from svtlab.cli import parse_ideal_document
 
@@ -17,6 +17,7 @@ from svtlab.ideals import (
     SquareFreeIdeal,
     SquareFreeMonomial,
     VariableContext,
+    bits,
     dim_quotient,
     height,
     popcount,
@@ -66,12 +67,6 @@ class TestLimits:
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
         with pytest.raises(CapExceededError):
             local_cohomology_table(I, Q, EngineLimits(max_generators=3))
-
-    def test_cell_budget(self):
-        ctx = context_of(4)
-        I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
-        with pytest.raises(CapExceededError):
-            local_cohomology_table(I, Q, EngineLimits(max_matrix_cells=10))
 
 
 class TestGradedComplex:
@@ -247,7 +242,7 @@ class TestAgainstCechOracle:
     def test_ex45_n3_with_raised_caps(self):
         with open(fixture_path("ex45_n3.json")) as fh:
             I = parse_ideal_document(json.load(fh))
-        limits = EngineLimits(max_vars=9, max_generators=12, max_matrix_cells=10**8)
+        limits = EngineLimits(max_vars=9, max_generators=12)
         table = local_cohomology_table(I, Q, limits)
         assert hlv_check(I, Q, limits, table=table)
         assert grade_check(I, Q, limits, table=table)
@@ -391,6 +386,12 @@ class TestMultiplicationAgainstOracles:
     @settings(max_examples=100, deadline=None)
     @example(I=three_axes())
     @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
+    # (x1) in k[x1, x2]: N = {x1} has H^1 = k and N minus x1 is empty
+    @example(I=SquareFreeIdeal.from_supports(context_of(2), [0b01]))
+    # the path x3 - x1 - x2 - x4: r = |N| = 3 at N = {x1, x2, x4} puts both
+    # complexes on the generators (N minus x4 alone would pick the
+    # variables), and x4 on H^2 there is an isomorphism k -> k
+    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b0101, 0b1010]))
     def test_rank_equals_cocycle_oracle(self, field, I):
         n = I.context.n
         dims = cech_table_dims(I, field)
@@ -424,3 +425,47 @@ class TestMultiplicationAgainstOracles:
             cokernel_zero = all(i != cd for i, _ in cech_table_dims(J, field))
             x = SquareFreeMonomial(I.context, 1 << j)
             assert is_multiplication_surjective(I, cd, x, field) == cokernel_zero
+
+
+# degrees i in -1..n+1 where H^i_I(S) is not divisible, over Q and GF(2)
+NOT_DIVISIBLE = {
+    "ex313.json": [1],
+    "ex43.json": [3, 5],
+    "ex45_n3.json": [4, 5],
+    "ex45_reduced.json": [2, 3],
+    "ex46.json": [3],
+    "ex47.json": [2, 3],
+    "max_ideal_n2.json": [],
+    "two_planes.json": [2],
+}
+
+
+class TestMultiplicationOnTheDowkerSide:
+    @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
+    @pytest.mark.parametrize("name", sorted(NOT_DIVISIBLE))
+    def test_fixture_divisibility_without_cech(self, monkeypatch, field, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Cech complex was built")
+
+        monkeypatch.setattr(cech, "build_graded_complex", refuse)
+        monkeypatch.setattr(cech.GradedComplex, "differential", refuse)
+        with open(fixture_path(name)) as fh:
+            I = parse_ideal_document(json.load(fh))
+        limits = EngineLimits(max_vars=9, max_generators=12)  # ex45_n3 needs both
+        table = local_cohomology_table(I, field, limits)
+        degrees = range(-1, I.context.n + 2)
+        assert [
+            i for i in degrees if not is_divisible(I, i, field, limits, table=table)
+        ] == NOT_DIVISIBLE[name]
+        # the verdicts above never need a map (no fixture has a nonzero
+        # target), so take the map at every nonzero entry as well
+        for (i, pattern), d in table.dims.items():
+            for j in bits(pattern):
+                mp = multiplication_map(I, i, j, pattern, field, limits)
+                assert (mp.source_dim, mp.target_dim) == (d, table.dim(i, mp.target_pattern))
+
+    def test_nine_variables_refused_at_default_caps(self):
+        ctx = VariableContext(tuple(f"z{i}" for i in range(9)))
+        I = SquareFreeIdeal.from_supports(ctx, [0b11, 0b1100])
+        with pytest.raises(CapExceededError):
+            multiplication_map(I, 2, 0, 0b101, Q)

@@ -212,6 +212,19 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "cap_exceeded"
 
+    def test_edge_ideal_of_k6_within_default_caps(self, capsys, tmp_path):
+        # 6 variables and 15 generators: no budget on 2^15 Cech terms applies
+        names = [f"x{k}" for k in range(1, 7)]
+        doc = {
+            "variables": names,
+            "ideal": {"generators": [[a, b] for k, a in enumerate(names) for b in names[k + 1:]]},
+        }
+        path = tmp_path / "k6.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "analyze", "--input", str(path), "--no-cache")
+        assert code == 0 and err == ""
+        assert json.loads(out)["sentinels"] == {"hlv": True, "grade": True}
+
     def test_cap_override_flag(self, capsys):
         code, out, _ = invoke(
             capsys, "svt", "--input", fixture_path("ex45_reduced.json"), "--no-cache",
@@ -243,9 +256,11 @@ class TestExitCodes:
             # graph builds no table, so it takes no engine caps
             ["graph", "--input", fixture_path("ex47.json"), "--kind", "theta",
              "--max-vars", "3"],
+            # the caps are variables and generators only
+            ["cohomology", "--input", fixture_path("ex47.json"), "--cell-budget", "10"],
         ],
         ids=["unknown-flag", "missing-input", "missing-command", "unknown-command",
-             "bad-int", "graph-cap-flag"],
+             "bad-int", "graph-cap-flag", "cell-budget-flag"],
     )
     def test_usage_error_is_one_json_line(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -16,7 +16,6 @@ from svtlab.ideals import (
 from svtlab.graphs import (
     GAMMA,
     THETA,
-    connected_ordering,
     gamma_graph,
     is_connected,
     punctured_spectrum_connected,
@@ -140,34 +139,6 @@ class TestGamma:
 
 
 class TestConnectivityHelpers:
-    def test_connected_ordering_prefix_property(self):
-        ctx = context_of(3)
-        I = primes(ctx, ["x1"], ["x2"], ["x3"])
-        G = theta_graph(I)
-        order = connected_ordering(G)
-        assert sorted(order) == list(range(len(G.vertices)))
-        adj = G.adjacency()
-        for k in range(1, len(order)):
-            assert any(u in order[:k] for u in adj[order[k]])
-
-    def test_connected_ordering_none_when_disconnected(self):
-        ctx = context_of(6)
-        I = primes(ctx, ["x1", "x2", "x3"], ["x4", "x5", "x6"])
-        assert connected_ordering(theta_graph(I)) is None
-
-    @given(proper_ideals())
-    @settings(max_examples=60, deadline=None)
-    def test_ordering_exists_iff_connected(self, I):
-        G = theta_graph(I)
-        order = connected_ordering(G)
-        if is_connected(G):
-            assert order is not None
-            adj = G.adjacency()
-            for k in range(1, len(order)):
-                assert any(u in order[:k] for u in adj[order[k]])
-        else:
-            assert order is None
-
     def test_to_dot(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x2", "x3"])

@@ -7,6 +7,7 @@ from oracles import (
     hochster_table_all_faces,
     quotient_local_cohomology_dim,
     reduced_cohomology_by_elimination,
+    reduced_euler_characteristic,
 )
 from test_cech import projective_plane_ideal
 
@@ -22,7 +23,6 @@ from svtlab.simplicial import (
     link,
     maximal_faces,
     reduced_cohomology,
-    reduced_euler_characteristic,
 )
 
 Q = FieldSpec(0)
