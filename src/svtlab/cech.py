@@ -59,24 +59,21 @@ from .ideals import (
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Resource guards; the defaults admit the 8-variable, 9-generator fixtures.
+    """The engine's one resource guard, the number of variables.
 
     A pattern's Dowker complex lives on min(r, |N|) <= n vertices, so
-    max_vars bounds the faces any one computation visits.
+    max_vars bounds the faces any one computation visits.  The generator
+    count needs no cap of its own: minimized generators form an antichain,
+    so by Sperner's theorem r <= C(n, n // 2), which is 70 at n = 8.
     """
 
     max_vars: int = 8
-    max_generators: int = 20
 
     def check(self, I: SquareFreeIdeal):
         if I.context.n > self.max_vars:
             raise CapExceededError(
                 f"{I.context.n} variables exceeds the engine cap {self.max_vars}"
                 " (raise max_vars to override)"
-            )
-        if I.r > self.max_generators:
-            raise CapExceededError(
-                f"{I.r} generators exceeds the engine cap {self.max_generators}"
             )
 
 
@@ -356,9 +353,10 @@ def is_multiplication_surjective(
     table = table if table is not None else local_cohomology_table(I, field, limits)
     # only failures onto a nonzero target matter, so walk the nonzero row
     # entries whose pattern misses j; the source pattern is N | {j}
+    row = sorted(table.row(i))
     for j in bits(x.support):
         b = 1 << j
-        for target, _ in sorted(table.row(i).items()):
+        for target in row:
             if target & b:
                 continue
             if table.dim(i, target | b) == 0:
@@ -377,15 +375,11 @@ def is_divisible(
 ) -> bool:
     """Divisibility of H^i_I(S) by every nonzero monomial.
 
-    Surjectivity for each single variable suffices: a monomial acts as the
-    composition of its variables, and a composition of surjections is
-    surjective.  (Whether this extends to arbitrary nonzero ring elements
-    in the graded model is deliberately not claimed.)
+    A monomial acts as the composition of its variables, and it is
+    surjective iff each of its variables is; so divisibility is
+    surjectivity of the product of all the variables.  (Whether this
+    extends to arbitrary nonzero ring elements in the graded model is
+    deliberately not claimed.)
     """
-    table = table if table is not None else local_cohomology_table(I, field, limits)
-    return all(
-        is_multiplication_surjective(
-            I, i, SquareFreeMonomial(I.context, 1 << j), field, limits, table
-        )
-        for j in range(I.context.n)
-    )
+    everything = SquareFreeMonomial(I.context, I.context.full_mask)
+    return is_multiplication_surjective(I, i, everything, field, limits, table)

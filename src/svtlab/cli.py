@@ -29,6 +29,10 @@ EXIT_INPUT = 1
 EXIT_CAPS = 2
 EXIT_SENTINEL = 3
 
+# graph has no variable cap and its cost grows with the square of the number
+# of minimal primes, so it refuses ideals with more generators than this
+GRAPH_MAX_GENERATORS = 20
+
 
 class InputError(ValueError):
     pass
@@ -53,15 +57,9 @@ def parse_ideal_document(doc: dict) -> SquareFreeIdeal:
             return SquareFreeIdeal.intersection_of_primes(
                 context, spec["intersection_of_primes"]
             )
-        raise InputError(
-            "ideal needs either 'generators' or 'intersection_of_primes'"
-        )
-    except CapExceededError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, InputError):
-            raise
         raise InputError(str(e)) from e
+    raise InputError("ideal needs either 'generators' or 'intersection_of_primes'")
 
 
 def load_ideal(path: str) -> SquareFreeIdeal:
@@ -83,7 +81,7 @@ def ideal_echo(I: SquareFreeIdeal) -> dict:
 
 
 def _limits_from_args(args) -> EngineLimits:
-    return EngineLimits(max_vars=args.max_vars, max_generators=args.max_generators)
+    return EngineLimits(max_vars=args.max_vars)
 
 
 def _emit(payload: dict, args):
@@ -158,6 +156,10 @@ def cmd_svt(args) -> int:
 
 def cmd_graph(args) -> int:
     I = load_ideal(args.input)
+    if I.r > GRAPH_MAX_GENERATORS:
+        raise CapExceededError(
+            f"{I.r} generators exceeds the transversal cap {GRAPH_MAX_GENERATORS}"
+        )
     G = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
     dot = graphs.to_dot(G)
     if args.dot:
@@ -255,7 +257,6 @@ def _add_common(p, with_engine=True, with_cache=True):
             help="coefficient field: 'rationals' or a prime p",
         )
         p.add_argument("--max-vars", type=int, default=EngineLimits.max_vars)
-        p.add_argument("--max-generators", type=int, default=EngineLimits.max_generators)
     if with_cache:
         p.add_argument("--cache-dir", help="cache directory (default: $SVTLAB_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")

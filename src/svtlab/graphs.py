@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import SquareFreeIdeal, dim_quotient, minimal_primes, popcount
+from .ideals import SquareFreeIdeal, minimal_primes, popcount
 
 THETA = "theta"
 GAMMA = "gamma"
@@ -52,28 +52,32 @@ def quotient_height(I: SquareFreeIdeal, prime_mask: int) -> int:
     coordinate primes in S/I realize exactly these lengths (see the brute
     force in the test suite).
     """
-    inside = [
-        p.height for p in minimal_primes(I) if p.variables & prime_mask == p.variables
-    ]
+    return _quotient_height(minimal_primes(I), prime_mask)
+
+
+def _quotient_height(primes: tuple, prime_mask: int) -> int:
+    inside = [p.height for p in primes if p.variables & prime_mask == p.variables]
     if not inside:
         raise ValueError("the prime does not contain a minimal prime of I")
     return popcount(prime_mask) - max(inside)
 
 
 def gamma_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
-    """Hochster-Huneke graph on the maximal-dimension minimal primes."""
-    dim = dim_quotient(I)
-    n = I.context.n
-    primes = tuple(
-        p for p in minimal_primes(I) if n - p.height == dim
-    )
+    """Hochster-Huneke graph on the maximal-dimension minimal primes.
+
+    dim S/I is n minus the least height of a minimal prime, so the top
+    primes are those of least height.
+    """
+    primes = minimal_primes(I)
+    least = min(p.height for p in primes)
+    top = tuple(p for p in primes if p.height == least)
     edges = set()
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            union = primes[i].variables | primes[j].variables
-            if quotient_height(I, union) == 1:
+    for i in range(len(top)):
+        for j in range(i + 1, len(top)):
+            union = top[i].variables | top[j].variables
+            if _quotient_height(primes, union) == 1:
                 edges.add((i, j))
-    return ConnectivityGraph(GAMMA, primes, frozenset(edges))
+    return ConnectivityGraph(GAMMA, top, frozenset(edges))
 
 
 def is_connected(G: ConnectivityGraph) -> bool:

@@ -23,7 +23,8 @@ class IdealDomainError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A configurable resource cap (variables or generators) was hit."""
+    """A resource cap was hit: the variables of a context or of the engine,
+    or the generators `svtlab graph` accepts."""
 
 
 def popcount(mask: int) -> int:
@@ -274,16 +275,13 @@ def _minimal_transversals(I: SquareFreeIdeal) -> tuple:
     return minimize_supports(found)
 
 
-def minimal_primes(I: SquareFreeIdeal, max_generators: int = 20) -> tuple:
+def minimal_primes(I: SquareFreeIdeal) -> tuple:
     """Minimal primes over I, as minimal transversals of the generator supports.
 
-    Returned in lexicographic order of variable index sets.
+    Returned in lexicographic order of variable index sets.  No generator
+    cap applies: the transversal search visits at most 2^n sets.
     """
     _require_analyzable(I)
-    if I.r > max_generators:
-        raise CapExceededError(
-            f"{I.r} generators exceeds the transversal cap {max_generators}"
-        )
     minimal = sorted(_minimal_transversals(I), key=lambda m: tuple(bits(m)))
     return tuple(CoordinatePrime(I.context, m) for m in minimal)
 

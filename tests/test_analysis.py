@@ -128,7 +128,7 @@ class TestMayerVietoris:
 
         names = [
             "ex43.json", "ex45_reduced.json", "ex46.json", "ex47.json",
-            "ex313.json", "two_planes.json", "max_ideal_n2.json",
+            "ex313.json", "two_planes.json", "max_ideal_n2.json", "k8_edges.json",
         ]
         ideals = []
         for name in names:
@@ -197,7 +197,7 @@ class TestSweep:
 
 FIXTURES = [
     "ex313.json", "ex43.json", "ex45_n3.json", "ex45_reduced.json",
-    "ex46.json", "ex47.json", "max_ideal_n2.json", "two_planes.json",
+    "ex46.json", "ex47.json", "k8_edges.json", "max_ideal_n2.json", "two_planes.json",
 ]
 
 
@@ -228,6 +228,6 @@ class TestPrimeHypothesisClosedForm:
     def test_fixtures(self, name):
         with open(fixture_path(name)) as fh:
             I = parse_ideal_document(json.load(fh))
-        # ex45_n3 has 9 variables and 12 generators, past the default caps
-        limits = EngineLimits(max_vars=9, max_generators=12)
+        # ex45_n3 has 9 variables, past the default cap
+        limits = EngineLimits(max_vars=9)
         assert_finite_length_hypotheses_match_hochster(I, Q, limits)

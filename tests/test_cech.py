@@ -62,12 +62,6 @@ class TestLimits:
         table = local_cohomology_table(I, Q, EngineLimits(max_vars=9))
         assert table.row(1)  # principal ideal: H^1 only
 
-    def test_generator_cap(self):
-        ctx = context_of(4)
-        I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
-        with pytest.raises(CapExceededError):
-            local_cohomology_table(I, Q, EngineLimits(max_generators=3))
-
 
 class TestGradedComplex:
     def test_localization_piece_classification(self):
@@ -242,11 +236,39 @@ class TestAgainstCechOracle:
     def test_ex45_n3_with_raised_caps(self):
         with open(fixture_path("ex45_n3.json")) as fh:
             I = parse_ideal_document(json.load(fh))
-        limits = EngineLimits(max_vars=9, max_generators=12)
+        limits = EngineLimits(max_vars=9)
         table = local_cohomology_table(I, Q, limits)
         assert hlv_check(I, Q, limits, table=table)
         assert grade_check(I, Q, limits, table=table)
         assert cohomological_dimension(I, table=table) + depth_quotient(I, Q) == I.context.n
+
+
+def all_subsets_ideal(n, k):
+    """The ideal of all k-subsets of n variables, C(n, k) generators."""
+    return SquareFreeIdeal.from_supports(
+        context_of(n), [m for m in range(1 << n) if popcount(m) == k]
+    )
+
+
+class TestHochsterDuality:
+    """dim H^i_I(S)_N = dim H^{n-i}_m(S/I)_{[n] minus N}, entry by entry.
+
+    The table works on the Dowker complexes of I and Hochster's formula on
+    the links of the Stanley-Reisner complex, so neither is computed from
+    the other.  Past r = 20 the 2^r Cech oracle cannot run, and this is
+    the independent check.
+    """
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
+    @settings(max_examples=60, deadline=None)
+    @example(I=all_subsets_ideal(8, 2))  # the edge ideal of K8, r = 28
+    @example(I=all_subsets_ideal(8, 4))  # r = 70, the most at n = 8 (Sperner)
+    def test_table_is_the_reindexed_hochster_table(self, field, I):
+        n, full = I.context.n, I.context.full_mask
+        hochster = simplicial.hochster_table(I, field)
+        expected = {(n - i, full & ~face): d for (i, face), d in hochster.items()}
+        assert local_cohomology_table(I, field).dims == expected
 
 
 class TestStructuralInvariants:
@@ -435,6 +457,7 @@ NOT_DIVISIBLE = {
     "ex45_reduced.json": [2, 3],
     "ex46.json": [3],
     "ex47.json": [2, 3],
+    "k8_edges.json": [],
     "max_ideal_n2.json": [],
     "two_planes.json": [2],
 }
@@ -451,18 +474,38 @@ class TestMultiplicationOnTheDowkerSide:
         monkeypatch.setattr(cech.GradedComplex, "differential", refuse)
         with open(fixture_path(name)) as fh:
             I = parse_ideal_document(json.load(fh))
-        limits = EngineLimits(max_vars=9, max_generators=12)  # ex45_n3 needs both
+        limits = EngineLimits(max_vars=9)
         table = local_cohomology_table(I, field, limits)
         degrees = range(-1, I.context.n + 2)
         assert [
             i for i in degrees if not is_divisible(I, i, field, limits, table=table)
         ] == NOT_DIVISIBLE[name]
-        # the verdicts above never need a map (no fixture has a nonzero
+        # only k8_edges' verdicts need a map (no other fixture has a nonzero
         # target), so take the map at every nonzero entry as well
         for (i, pattern), d in table.dims.items():
             for j in bits(pattern):
                 mp = multiplication_map(I, i, j, pattern, field, limits)
                 assert (mp.source_dim, mp.target_dim) == (d, table.dim(i, mp.target_pattern))
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
+    def test_k8_edges_verdicts_compute_maps(self, monkeypatch, field):
+        # row 7 is 7 at [8] and 1 at each [8] minus {j}: x_j maps onto a
+        # nonzero target once per variable
+        with open(fixture_path("k8_edges.json")) as fh:
+            I = parse_ideal_document(json.load(fh))
+        computed = []
+        real = cech.multiplication_map
+
+        def spy(*args):
+            mp = real(*args)
+            computed.append(mp)
+            return mp
+
+        monkeypatch.setattr(cech, "multiplication_map", spy)
+        table = local_cohomology_table(I, field)
+        assert all(is_divisible(I, i, field, table=table) for i in range(-1, 10))
+        assert sorted(mp.variable for mp in computed) == list(range(8))
+        assert all((mp.source_dim, mp.target_dim, mp.rank) == (7, 1, 1) for mp in computed)
 
     def test_nine_variables_refused_at_default_caps(self):
         ctx = VariableContext(tuple(f"z{i}" for i in range(9)))

@@ -225,6 +225,29 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert json.loads(out)["sentinels"] == {"hlv": True, "grade": True}
 
+    def test_edge_ideal_of_k8_within_default_caps(self, capsys):
+        # 28 generators: the generator count is not capped
+        code, out, err = invoke(
+            capsys, "analyze", "--input", fixture_path("k8_edges.json"), "--no-cache",
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["sentinels"] == {"hlv": True, "grade": True}
+        assert payload["verdicts"]["cd"] + payload["verdicts"]["depth"] == 8
+
+    def test_graph_refuses_more_than_twenty_generators(self, capsys, tmp_path):
+        names = [f"x{k}" for k in range(1, 8)]
+        doc = {
+            "variables": names,
+            "ideal": {"generators": [[a, b] for k, a in enumerate(names) for b in names[k + 1:]]},
+        }
+        path = tmp_path / "k7.json"
+        path.write_text(json.dumps(doc))
+        for kind in ("theta", "gamma"):
+            code, out, err = invoke(capsys, "graph", "--input", str(path), "--kind", kind)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == "cap_exceeded"
+
     def test_cap_override_flag(self, capsys):
         code, out, _ = invoke(
             capsys, "svt", "--input", fixture_path("ex45_reduced.json"), "--no-cache",
@@ -256,11 +279,12 @@ class TestExitCodes:
             # graph builds no table, so it takes no engine caps
             ["graph", "--input", fixture_path("ex47.json"), "--kind", "theta",
              "--max-vars", "3"],
-            # the caps are variables and generators only
+            # the engine's one cap is on variables
             ["cohomology", "--input", fixture_path("ex47.json"), "--cell-budget", "10"],
+            ["analyze", "--input", fixture_path("k8_edges.json"), "--max-generators", "30"],
         ],
         ids=["unknown-flag", "missing-input", "missing-command", "unknown-command",
-             "bad-int", "graph-cap-flag", "cell-budget-flag"],
+             "bad-int", "graph-cap-flag", "cell-budget-flag", "generator-cap-flag"],
     )
     def test_usage_error_is_one_json_line(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

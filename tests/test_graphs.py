@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from conftest import context_of, proper_ideals
 from oracles import brute_force_quotient_height
 
+from svtlab import graphs
 from svtlab.ideals import (
     SquareFreeIdeal,
     VariableContext,
@@ -136,6 +137,39 @@ class TestGamma:
         if len({p.height for p in ps}) != 1 or dim_quotient(I) < 2:
             return
         assert gamma_graph(I).edges <= theta_graph(I).edges
+
+    @given(proper_ideals(max_n=6, max_gens=6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_definition(self, I):
+        dim = dim_quotient(I)
+        top = tuple(p for p in minimal_primes(I) if I.context.n - p.height == dim)
+        expected = {
+            (i, j)
+            for i in range(len(top))
+            for j in range(i + 1, len(top))
+            if quotient_height(I, top[i].variables | top[j].variables) == 1
+        }
+        G = gamma_graph(I)
+        assert G.vertices == top and G.edges == frozenset(expected)
+
+    def test_disjoint_pairs_give_the_cube(self, monkeypatch):
+        # (x1x2, x3x4, ..., x11x12): the 2^6 primes pick one variable per
+        # pair, and two meet in height one iff they differ in one pair
+        ctx = context_of(12)
+        I = SquareFreeIdeal.from_supports(ctx, [0b11 << 2 * k for k in range(6)])
+        calls = []
+        real = graphs.minimal_primes
+
+        def spy(J):
+            calls.append(J)
+            return real(J)
+
+        monkeypatch.setattr(graphs, "minimal_primes", spy)
+        G = gamma_graph(I)
+        assert len(calls) <= 1
+        assert len(G.vertices) == 64 and len(G.edges) == 192
+        for i, j in G.edges:
+            assert popcount(G.vertices[i].variables ^ G.vertices[j].variables) == 2
 
 
 class TestConnectivityHelpers:

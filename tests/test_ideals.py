@@ -119,12 +119,6 @@ class TestMinimalPrimes:
         with pytest.raises(IdealDomainError):
             minimal_primes(SquareFreeIdeal.from_supports(ctx, [0]))
 
-    def test_generator_cap(self):
-        ctx = context_of(3)
-        I = SquareFreeIdeal.from_supports(ctx, [0b011, 0b101, 0b110])
-        with pytest.raises(CapExceededError):
-            minimal_primes(I, max_generators=2)
-
     @given(proper_ideals())
     @settings(max_examples=120, deadline=None)
     def test_duality_with_facets(self, I):
