@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Analyze every shipped fixture and print one verdict line each.
 
-Exits 1 when a Hartshorne-Lichtenbaum or grade sentinel fails, or when a
-fixture with dim(S/I) >= 1 reports agreement=False (for an m-primary
-ideal, dim 0, both sides of the equivalence are degenerate); else 0.
+Exits 1 when a Hartshorne-Lichtenbaum, grade or duality sentinel fails,
+or when a fixture with dim(S/I) >= 1 reports agreement=False (for an
+m-primary ideal, dim 0, both sides of the equivalence are degenerate);
+else 0.  The duality sentinel checks every entry of the table against
+the Hochster table of S/I: dim H^i_I(S)_N = dim H^{n-i}_m(S/I)_{[n] - N}
+(Mustata's Ext formula with local duality), two independent engines.
 
 Usage: python scripts/run_fixtures.py [--field CHAR]
 """
@@ -19,10 +22,18 @@ from svtlab.analysis import grade_check, hlv_check, svt_check
 from svtlab.cech import CapExceededError, local_cohomology_table
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
+from svtlab.simplicial import hochster_table
 
 FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 )
+
+
+def duality_holds(ideal, table, field) -> bool:
+    """The table equals the Hochster table reindexed (i, N) <-> (n-i, [n] - N)."""
+    n, full = ideal.context.n, ideal.context.full_mask
+    dual = {(n - i, full & ~face): d for (i, face), d in hochster_table(ideal, field).items()}
+    return table.dims == dual
 
 
 def main(argv=None) -> int:
@@ -45,14 +56,17 @@ def main(argv=None) -> int:
         report = svt_check(ideal, field, table=table)
         hlv = hlv_check(ideal, field, table=table)
         grade = grade_check(ideal, field, table=table)
+        duality = duality_holds(ideal, table, field)
         print(
             f"{name:22s} n={ideal.context.n} dim={report.dim_quotient} "
             f"depth={report.depth} cd={report.cd} q={report.q} "
             f"connected={report.connected} "
             f"H^(n-1)=0:{report.vanishing_top_minus_one} "
-            f"agreement={report.agreement} hlv={hlv} grade={grade}"
+            f"agreement={report.agreement} hlv={hlv} grade={grade} duality={duality}"
         )
-        if not (hlv and grade) or (report.dim_quotient >= 1 and not report.agreement):
+        if not (hlv and grade and duality) or (
+            report.dim_quotient >= 1 and not report.agreement
+        ):
             failed.append(name)
     if failed:
         print(f"FAILED: {', '.join(failed)}")

@@ -133,8 +133,8 @@ def svt_check(
 
     t0 = time.monotonic()
     connected = graphs.punctured_spectrum_connected(I)
-    dim_q = dim_quotient(I)
-    ht = height(I)
+    ht = min(p.height for p in primes)
+    dim_q = n - ht
     timings["combinatorics"] = time.monotonic() - t0
 
     t0 = time.monotonic()

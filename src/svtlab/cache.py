@@ -68,7 +68,8 @@ def _checked_dims(I: SquareFreeIdeal, entries) -> dict:
 
     An entry is trusted only if local_cohomology_table could have written
     it: 0 <= i <= n, a non-empty pattern inside the union of the generator
-    supports, a positive integer dimension, and no (i, pattern) twice.
+    supports, a positive integer dimension, and no (i, pattern) twice.  The
+    table itself must be nonempty, since H^{ht I}_I(S) is nonzero.
     """
     n = I.context.n
     union = I.support_union()
@@ -87,6 +88,8 @@ def _checked_dims(I: SquareFreeIdeal, entries) -> dict:
         if (i, mask) in dims:
             raise ValueError("cached entry repeats a degree and pattern")
         dims[(i, mask)] = d
+    if not dims:
+        raise ValueError("a cached table of a proper nonzero ideal cannot be empty")
     return dims
 
 

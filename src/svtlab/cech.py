@@ -30,15 +30,17 @@ mod p).
 Multiplication by x_j sends pattern N to N \\ {j}.  On either side the
 complex K_{N \\ {j}} is a subcomplex of K_N (fewer facets on the
 generators, an induced subcomplex on the variables), and x_j is the
-restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}); multiplication_map
+restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}); multiplication_rank
 builds both on the side N selects and takes the rank of the restriction
-from five sparse ranks (simplicial.restriction_rank):
+from three sparse ranks (simplicial.restriction_rank):
 
     rank = |L_d| - rk d_L^{d-1} - rk d_K^d + rk d_(K,L)^d,  d = i - 2,
 
 with d_(K,L) the coboundary of K on the d-faces outside L.  No cohomology
-basis is built.  GradedComplex and build_graded_complex, the 2^r sign
-complex of one pattern, are kept only as the tests' Cech oracle.
+basis is built, and neither dimension is recomputed: a map is onto iff
+its rank equals the target's entry in the table.  GradedComplex and
+build_graded_complex, the 2^r sign complex of one pattern, are kept only
+as the tests' Cech oracle.
 """
 
 from __future__ import annotations
@@ -282,55 +284,36 @@ def q_invariant(
     return max(bad) if bad else None
 
 
-@dataclass
-class InducedMap:
-    """Rank of x_j on cohomology, from pattern N to N minus {j}."""
-
-    i: int
-    variable: int  # index j
-    source_pattern: int  # contains j
-    target_pattern: int
-    source_dim: int
-    target_dim: int
-    rank: int  # dimension of the image
-
-    @property
-    def is_surjective(self) -> bool:
-        return self.rank == self.target_dim
-
-
-def multiplication_map(
+def multiplication_rank(
     I: SquareFreeIdeal,
     i: int,
     variable: int,
     pattern: int,
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
-) -> InducedMap:
-    """x_j: H^i_I(S)_N -> H^i_I(S)_{N \\ {j}} for j in N.
+) -> int:
+    """Rank of x_j: H^i_I(S)_N -> H^i_I(S)_{N \\ {j}} for j in N.
 
     Patterns with j outside N change nothing under x_j and are
     isomorphisms, so only these comparison maps are computed.  The map is
     the restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}) between the
     Dowker complexes of the two patterns, both on the side N selects, and
     its rank is simplicial.restriction_rank's.  The target is 0 when
-    N \\ {j} is empty.
+    N \\ {j} is empty, and so is the rank.
     """
     b = 1 << variable
     if not pattern & b:
         raise ValueError("the variable must lie in the source pattern")
-    target = pattern & ~b
     if not 0 <= i <= I.r:
-        return InducedMap(i, variable, pattern, target, 0, 0, 0)
+        return 0
     limits.check(I)
+    target = pattern & ~b
+    if not target:
+        return 0
     generator_facets = _generator_facets(I)
     delta = _dowker_complex(I, generator_facets(pattern), pattern, pattern)
-    if not target:
-        source = simplicial.reduced_cohomology(delta, field).get(i - 2, 0)
-        return InducedMap(i, variable, pattern, target, source, 0, 0)
     sub = _dowker_complex(I, generator_facets(target), target, pattern)
-    source, target_dim, rank = simplicial.restriction_rank(delta, sub, i - 2, field)
-    return InducedMap(i, variable, pattern, target, source, target_dim, rank)
+    return simplicial.restriction_rank(delta, sub, i - 2, field)
 
 
 def is_multiplication_surjective(
@@ -346,22 +329,23 @@ def is_multiplication_surjective(
     Multiplication by a monomial factors through variable steps, and each
     step is an isomorphism on the graded pieces whose pattern it does not
     change; so surjectivity reduces to the comparison maps at (i, N, j)
-    for j in supp(x) and j in N.
+    for j in supp(x) and j in N.  Each map is onto exactly when its rank
+    equals the target's dimension, read from the table.
     """
     if x.is_unit:
         raise ValueError("multiplication by the unit monomial is trivially the identity")
     table = table if table is not None else local_cohomology_table(I, field, limits)
     # only failures onto a nonzero target matter, so walk the nonzero row
     # entries whose pattern misses j; the source pattern is N | {j}
-    row = sorted(table.row(i))
+    row = sorted(table.row(i).items())
     for j in bits(x.support):
         b = 1 << j
-        for target in row:
+        for target, dim in row:
             if target & b:
                 continue
             if table.dim(i, target | b) == 0:
                 return False
-            if not multiplication_map(I, i, j, target | b, field, limits).is_surjective:
+            if multiplication_rank(I, i, j, target | b, field, limits) != dim:
                 return False
     return True
 

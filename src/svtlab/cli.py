@@ -97,6 +97,7 @@ def _table_with_cache(I, field, limits, args):
     """(table, cache_state) honoring --no-cache and the cache directory."""
     if args.no_cache:
         return cech.local_cohomology_table(I, field, limits), "off"
+    limits.check(I)  # a cached table must not bypass the variable cap
     cache_dir = args.cache_dir or cache.default_cache_dir()
     hit = cache.lookup(cache_dir, I, field)
     if hit is not None:

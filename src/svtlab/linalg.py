@@ -3,9 +3,9 @@
 Matrices are stored as lists of sparse rows (dict column -> nonzero int).
 `rank` is the only operation: every cohomology dimension, and the rank of
 every multiplication map on cohomology (a restriction between simplicial
-complexes, simplicial.restriction_rank), is a count of faces plus and
-minus ranks of sparse coboundary matrices, so no kernel basis or echelon
-form is kept.
+complexes, three ranks in simplicial.restriction_rank), is a count of
+faces plus and minus ranks of sparse coboundary matrices, so no kernel
+basis or echelon form is kept.
 
 The elimination is the same for both fields.  Over GF(p) the entries are
 reduced mod p first and stay native ints in 0..p-1.  Each step pivots on

@@ -140,9 +140,11 @@ def test_well_formed_planted_entry_is_served(tmp_path):
 
 
 H9 = {"engine": svtlab.ENGINE_VERSION, "entries": [{"i": 9, "pattern": ["x1"], "dim": 1}]}
+# a proper nonzero ideal has H^{ht I}_I(S) nonzero, so no table is empty
+NO_ENTRIES = {"engine": svtlab.ENGINE_VERSION, "entries": []}
 
 
-@pytest.mark.parametrize("doc", [None, [], H9])
+@pytest.mark.parametrize("doc", [None, [], H9, NO_ENTRIES])
 def test_analyze_recomputes_over_a_malformed_entry(tmp_path, capsys, doc):
     d = str(tmp_path / "cache")
     src = fixture_path("two_planes.json")

@@ -33,7 +33,7 @@ from svtlab.cech import (
     is_multiplication_surjective,
     is_vanishing,
     local_cohomology_table,
-    multiplication_map,
+    multiplication_rank,
     q_invariant,
 )
 
@@ -351,9 +351,10 @@ class TestMultiplication:
     def test_map_shape_and_iso_step(self):
         ctx = context_of(3)
         m = SquareFreeIdeal.maximal(ctx)
-        mp = multiplication_map(m, 3, 0, 0b111, Q)
-        assert mp.source_dim == 1 and mp.target_dim == 0
-        assert mp.is_surjective  # zero target
+        table = local_cohomology_table(m, Q)
+        # H^3 at N = {x1, x2, x3} is k, and x1 sends it to N minus x1, where H^3 = 0
+        assert (table.dim(3, 0b111), table.dim(3, 0b110)) == (1, 0)
+        assert multiplication_rank(m, 3, 0, 0b111, Q) == 0  # onto the zero target
 
     def test_zero_row_vacuously_divisible(self):
         ctx = context_of(3)
@@ -395,13 +396,13 @@ class TestMultiplication:
 
     @pytest.mark.parametrize("i", [-1, 4, 5])  # r = 3: degrees outside 0..r
     def test_degree_outside_the_complex_is_zero(self, i):
-        mp = multiplication_map(three_axes(), i, 0, 0b111, Q)
-        assert (mp.source_dim, mp.target_dim, mp.rank) == (0, 0, 0)
-        assert mp.is_surjective
+        table = local_cohomology_table(three_axes(), Q)
+        assert (table.dim(i, 0b111), table.dim(i, 0b110)) == (0, 0)
+        assert multiplication_rank(three_axes(), i, 0, 0b111, Q) == 0
 
 
 class TestMultiplicationAgainstOracles:
-    """multiplication_map's rank formula against explicit cocycle bases."""
+    """multiplication_rank's formula against explicit cocycle bases."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(min_n=2, max_n=5, max_gens=5))
@@ -422,10 +423,10 @@ class TestMultiplicationAgainstOracles:
                 for pattern in range(1 << n):
                     if not pattern >> j & 1:
                         continue
-                    mp = multiplication_map(I, i, j, pattern, field)
-                    assert mp.rank == multiplication_rank_by_cocycles(I, i, j, pattern, field)
-                    assert mp.source_dim == dims.get((i, pattern), 0)
-                    assert mp.target_dim == dims.get((i, mp.target_pattern), 0)
+                    rank = multiplication_rank(I, i, j, pattern, field)
+                    assert rank == multiplication_rank_by_cocycles(I, i, j, pattern, field)
+                    target = dims.get((i, pattern & ~(1 << j)), 0)
+                    assert 0 <= rank <= min(dims.get((i, pattern), 0), target)
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(min_n=2, max_n=5, max_gens=5))
@@ -484,8 +485,8 @@ class TestMultiplicationOnTheDowkerSide:
         # target), so take the map at every nonzero entry as well
         for (i, pattern), d in table.dims.items():
             for j in bits(pattern):
-                mp = multiplication_map(I, i, j, pattern, field, limits)
-                assert (mp.source_dim, mp.target_dim) == (d, table.dim(i, mp.target_pattern))
+                rank = multiplication_rank(I, i, j, pattern, field, limits)
+                assert 0 <= rank <= min(d, table.dim(i, pattern & ~(1 << j)))
 
     @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
     def test_k8_edges_verdicts_compute_maps(self, monkeypatch, field):
@@ -494,21 +495,23 @@ class TestMultiplicationOnTheDowkerSide:
         with open(fixture_path("k8_edges.json")) as fh:
             I = parse_ideal_document(json.load(fh))
         computed = []
-        real = cech.multiplication_map
+        real = cech.multiplication_rank
 
-        def spy(*args):
-            mp = real(*args)
-            computed.append(mp)
-            return mp
+        def spy(I, i, variable, pattern, *args):
+            rank = real(I, i, variable, pattern, *args)
+            computed.append((i, variable, pattern, rank))
+            return rank
 
-        monkeypatch.setattr(cech, "multiplication_map", spy)
+        monkeypatch.setattr(cech, "multiplication_rank", spy)
         table = local_cohomology_table(I, field)
         assert all(is_divisible(I, i, field, table=table) for i in range(-1, 10))
-        assert sorted(mp.variable for mp in computed) == list(range(8))
-        assert all((mp.source_dim, mp.target_dim, mp.rank) == (7, 1, 1) for mp in computed)
+        full = I.context.full_mask
+        assert sorted(computed) == [(7, j, full, 1) for j in range(8)]
+        assert table.dim(7, full) == 7
+        assert all(table.dim(7, full & ~(1 << j)) == 1 for j in range(8))
 
     def test_nine_variables_refused_at_default_caps(self):
         ctx = VariableContext(tuple(f"z{i}" for i in range(9)))
         I = SquareFreeIdeal.from_supports(ctx, [0b11, 0b1100])
         with pytest.raises(CapExceededError):
-            multiplication_map(I, 2, 0, 0b101, Q)
+            multiplication_rank(I, 2, 0, 0b101, Q)

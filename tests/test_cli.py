@@ -212,6 +212,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "cap_exceeded"
 
+    @pytest.mark.parametrize("command", ["analyze", "cohomology", "svt"])
+    def test_cached_table_does_not_lift_the_cap(self, capsys, cache_dir, command):
+        src = fixture_path("ex45_n3.json")  # 9 variables
+        code, _, _ = invoke(
+            capsys, command, "--input", src, "--cache-dir", cache_dir, "--max-vars", "9",
+        )
+        assert code == 0
+        code, out, err = invoke(capsys, command, "--input", src, "--cache-dir", cache_dir)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "cap_exceeded"
+
     def test_edge_ideal_of_k6_within_default_caps(self, capsys, tmp_path):
         # 6 variables and 15 generators: no budget on 2^15 Cech terms applies
         names = [f"x{k}" for k in range(1, 7)]

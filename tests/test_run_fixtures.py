@@ -24,6 +24,8 @@ def test_main_returns_0_over_q(capsys):
     out = capsys.readouterr().out
     assert "max_ideal_n2.json" in out and "agreement=False" in out  # m-primary: exempt
     assert "FAILED" not in out
+    analyzed = [line for line in out.splitlines() if "SKIPPED" not in line]
+    assert analyzed and all(line.endswith("duality=True") for line in analyzed)
 
 
 def test_disagreement_on_a_positive_dimensional_fixture_returns_1(monkeypatch, capsys):
@@ -44,3 +46,25 @@ def test_disagreement_on_a_positive_dimensional_fixture_returns_1(monkeypatch, c
     monkeypatch.setattr(script, "svt_check", flipped)
     assert script.main([]) == 1
     assert "FAILED: two_planes.json" in capsys.readouterr().out
+
+
+def test_duality_mismatch_returns_1(monkeypatch, capsys):
+    script = load_script()
+    with open(fixture_path("ex47.json")) as fh:
+        ex47 = parse_ideal_document(json.load(fh))
+    real = script.hochster_table
+
+    def shifted(ideal, field):
+        table = real(ideal, field)
+        if ideal == ex47:
+            key = min(table)
+            table[key] += 1
+        return table
+
+    monkeypatch.setattr(script, "hochster_table", shifted)
+    assert script.main([]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if "duality=False" in line] == [
+        "ex47.json"
+    ]
+    assert "FAILED: ex47.json" in out
