@@ -108,7 +108,8 @@ def store(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec, table: Cohomolog
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # dumps uses the C encoder; dump always takes the Python one
+            fh.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, _entry_path(cache_dir, cache_key(I, field)))
     except BaseException:
         if os.path.exists(tmp):

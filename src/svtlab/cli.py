@@ -191,7 +191,12 @@ def cmd_surjectivity(args) -> int:
     surjective = cech.is_multiplication_surjective(
         I, args.degree, x, field, limits, table=table
     )
-    divisible = cech.is_divisible(I, args.degree, field, limits, table=table)
+    # divisible iff every variable is onto: those of x were just checked
+    rest = SquareFreeMonomial(I.context, I.context.full_mask & ~x.support)
+    divisible = surjective and (
+        rest.is_unit
+        or cech.is_multiplication_surjective(I, args.degree, rest, field, limits, table=table)
+    )
     _emit(
         {
             "ideal": ideal_echo(I),

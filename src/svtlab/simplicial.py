@@ -8,8 +8,12 @@ Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
 Stanley-Reisner complex of I.  Three facts keep it cheap:
 
-- Cone lemma: a complex whose facets share a vertex v is a cone over v, so
-  it is acyclic; reduced_cohomology answers {} for it without elimination.
+- Star lemma: for a vertex v, the star st v (the faces whose union with v
+  is a face) is a cone over v, so H~^d(K) = H^d(K, st v).  The faces
+  outside st v are upward closed, and their cochains form a subcomplex
+  with K's signs; reduced_cohomology takes its ranks for a vertex in the
+  most facets.  The empty face always lies in st v, so the augmentation
+  is never built, and a cone (st v = K) leaves no faces at all.
 - The facets of lk F are G minus F for the facets G that contain F, so
   lk F is a cone exactly when those facets meet in more than F.  Only a
   face that is an intersection of facets (the empty face included when
@@ -23,8 +27,6 @@ Stanley-Reisner complex of I.  Three facts keep it cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Dict, Tuple
 
 from . import linalg
@@ -126,7 +128,8 @@ def maximal_faces(masks) -> tuple:
 def _coboundary_rows(src: list, tgt: list) -> list:
     """Rows = faces in src (c vertices), columns = faces in tgt (c+1 vertices).
 
-    The entry at (G minus v, G) is (-1)^(number of vertices of G below v).
+    The entry at (G minus v, G) is (-1)^(number of vertices of G below v);
+    a G minus v outside src (a relative complex) gives no entry.
     """
     row_of = {f: i for i, f in enumerate(src)}
     rows = [{} for _ in src]
@@ -135,7 +138,9 @@ def _coboundary_rows(src: list, tgt: list) -> list:
         rest = g
         while rest:
             b = rest & -rest
-            rows[row_of[g ^ b]][j] = sign
+            i = row_of.get(g ^ b)
+            if i is not None:
+                rows[i][j] = sign
             sign = -sign
             rest ^= b
     return rows
@@ -144,18 +149,52 @@ def _coboundary_rows(src: list, tgt: list) -> list:
 def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, int]:
     """dims of H~^d(delta; k) for d >= -1, nonzero entries only.
 
-    Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.
+    Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.  Otherwise
+    the dims are those of H^d(delta, st v) (the star lemma above), with v
+    a vertex in the most facets and the lowest of those on ties.
     """
-    if delta.facets and reduce(and_, delta.facets):
-        return {}  # a cone over a vertex in every facet is acyclic
-    levels = delta.faces_by_card()
+    if delta.is_empty:
+        return {-1: 1}
+    if not delta.facets:
+        return {}  # VOID
+    counts = [0] * delta.n
+    for f in delta.facets:
+        while f:
+            low = f & -f
+            counts[low.bit_length() - 1] += 1
+            f ^= low
+    v = 1 << counts.index(max(counts))
+    star = [f for f in delta.facets if f & v]
+    others = [f for f in delta.facets if not f & v]
+    if not others:
+        return {}  # a cone over v is acyclic
+    # faces outside st v, top down: every face of a face outside the star
+    # is outside it or in it with all of its own faces
+    top = max(map(popcount, others))
+    levels = [set() for _ in range(top + 1)]
+    for f in others:
+        levels[popcount(f)].add(f)
+    for c in range(top, 1, -1):
+        seen = set()
+        for g in levels[c]:
+            rest = g
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                h = g ^ low
+                if h not in seen:
+                    seen.add(h)
+                    if all(h & s != h for s in star):
+                        levels[c - 1].add(h)
+    levels = [sorted(level) for level in levels]
     # ranks[c]: rank of the coboundary from faces with c vertices to c + 1
-    ranks = [0] * len(levels)
-    for c in range(len(levels) - 1):
-        ranks[c] = linalg.rank(_coboundary_rows(levels[c], levels[c + 1]), field)
+    ranks = [0] * (top + 1)
+    for c in range(1, top):
+        if levels[c] and levels[c + 1]:
+            ranks[c] = linalg.rank(_coboundary_rows(levels[c], levels[c + 1]), field)
     dims = {}
-    for c, level in enumerate(levels):
-        h = len(level) - ranks[c] - (ranks[c - 1] if c else 0)
+    for c in range(1, top + 1):
+        h = len(levels[c]) - ranks[c] - ranks[c - 1]
         if h:
             dims[c - 1] = h
     return dims

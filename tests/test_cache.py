@@ -32,6 +32,21 @@ def test_roundtrip(tmp_path):
     assert hit.entries() == table.entries()
 
 
+@pytest.mark.parametrize("name", ["two_planes.json", "k8_edges.json"])
+def test_stored_bytes_equal_json_dump(tmp_path, name):
+    # the entry is written with json.dumps; the bytes are json.dump's
+    with open(fixture_path(name)) as fh:
+        I = parse_ideal_document(json.load(fh))
+    table = local_cohomology_table(I, Q)
+    cache.store(str(tmp_path), I, Q, table)
+    with open(tmp_path / (cache.cache_key(I, Q) + ".json"), "rb") as fh:
+        stored = fh.read()
+    expected = tmp_path / "expected"
+    with open(expected, "w") as fh:
+        json.dump({"engine": cache.ENGINE_VERSION, "entries": table.entries()}, fh, sort_keys=True)
+    assert stored == expected.read_bytes()
+
+
 def test_key_depends_on_field_and_ideal(tmp_path):
     I = make_ideal()
     ctx = I.context

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import fixture_path
 
+from svtlab import cech
 from svtlab.cli import main, parse_ideal_document
 from svtlab.ideals import SquareFreeIdeal, VariableContext
 
@@ -142,6 +143,29 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["surjective"] is True and doc["divisible"] is True
+
+    @pytest.mark.parametrize(
+        "monomial", ["x1", ",".join(f"x{k}" for k in range(1, 9))],
+        ids=["x1", "every-variable"],
+    )
+    def test_surjectivity_computes_each_map_once(self, capsys, monkeypatch, monomial):
+        # row 7 of k8_edges has one comparison map per variable, onto k
+        computed = []
+        real = cech.multiplication_rank
+
+        def spy(I, i, variable, pattern, *args):
+            computed.append((i, pattern, variable))
+            return real(I, i, variable, pattern, *args)
+
+        monkeypatch.setattr(cech, "multiplication_rank", spy)
+        code, out, _ = invoke(
+            capsys, "surjectivity", "--input", fixture_path("k8_edges.json"),
+            "--degree", "7", "--monomial", monomial, "--no-cache",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["surjective"] is True and doc["divisible"] is True
+        assert sorted(computed) == [(7, 0b11111111, j) for j in range(8)]
 
     def test_mv_ok(self, capsys, tmp_path):
         second = tmp_path / "q2.json"

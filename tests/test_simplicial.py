@@ -238,3 +238,57 @@ class TestSkippedLinks:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("a cone needs no rank"))
             assert reduced_cohomology(cone, Q) == {}
+
+
+def _simplex_boundary(n):
+    """The boundary of the simplex on n vertices: every (n-1)-subset."""
+    full = (1 << n) - 1
+    return SimplicialComplex(n, tuple(full ^ 1 << v for v in range(n)))
+
+
+_RP2 = SimplicialComplex(6, tuple(
+    sum(1 << (v - 1) for v in t) for t in [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+))
+
+
+@st.composite
+def complexes(draw, max_n=7):
+    """Any complex on at most max_n vertices: no masks gives VOID, only the
+    empty mask gives EMPTY."""
+    n = draw(st.integers(1, max_n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if not masks:
+        return SimplicialComplex.void_complex(n)
+    return SimplicialComplex(n, maximal_faces(masks))
+
+
+class TestStarLemma:
+    """H~^d(K) = H^d(K, st v) against elimination on every face of K."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    @example(delta=SimplicialComplex.empty_complex(3))
+    @example(delta=SimplicialComplex.void_complex(3))
+    # the hollow triangle: a circle
+    @example(delta=SimplicialComplex(3, (0b011, 0b101, 0b110)))
+    # the boundary of the 4-simplex: a 3-sphere
+    @example(delta=_simplex_boundary(5))
+    # two points: st v is one of them, the other carries H~^0
+    @example(delta=SimplicialComplex(2, (0b01, 0b10)))
+    # the real projective plane: 2-torsion, H~^1 and H~^2 over GF(2) only
+    @example(delta=_RP2)
+    def test_equals_elimination_on_every_face(self, field, delta):
+        assert reduced_cohomology(delta, field) == reduced_cohomology_by_elimination(
+            delta, field
+        )
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_boundary_of_simplex_needs_no_rank(self, n):
+        # every face but the one opposite v lies in st v: one face, no coboundary
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(linalg, "rank", lambda *a: pytest.fail("one face needs no rank"))
+            assert reduced_cohomology(_simplex_boundary(n), Q) == {n - 2: 1}
