@@ -4,6 +4,9 @@ svt_check cross-examines the cohomology engine against the combinatorial
 side (graph connectedness); hlv_check / grade_check / mayer_vietoris_check
 are differential-testing sentinels that must return True on every input,
 and the sweep hammers the vanishing equivalence on seeded random ideals.
+svt_check, hlv_check and grade_check read the ideal and field off a table,
+which passed the variable cap when it was made; mayer_vietoris_check and
+the sweep make their own tables under the limits they are given.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ class Hypothesis:
 
 @dataclass
 class AnalysisReport:
-    ideal: SquareFreeIdeal
-    field: FieldSpec
     hypotheses: List[Hypothesis]
     connected: bool
     vanishing_top_minus_one: bool
@@ -67,12 +68,13 @@ class AnalysisReport:
         return self.vanishing_top_minus_one == (self.connected and self.dim_quotient >= 2)
 
     def to_json(self) -> dict:
+        ideal = self.table.ideal
         return {
             "ideal": {
-                "variables": list(self.ideal.context.names),
-                "generators": self.ideal.generator_lists(),
+                "variables": list(ideal.context.names),
+                "generators": ideal.generator_lists(),
             },
-            "field": self.field.label(),
+            "field": self.table.field.label(),
             "hypotheses": [h.to_json() for h in self.hypotheses],
             "verdicts": {
                 "connected": self.connected,
@@ -90,17 +92,13 @@ class AnalysisReport:
         }
 
 
-def svt_check(
-    I: SquareFreeIdeal,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> AnalysisReport:
+def svt_check(table: CohomologyTable) -> AnalysisReport:
     """Both sides of the vanishing equivalence plus the hypothesis checks.
 
     Hypothesis failures are recorded, never fatal: the verdicts are still
     computed so a disagreement outside the hypotheses is visible.
     """
+    I, field = table.ideal, table.field
     n = I.context.n
     timings: Dict[str, float] = {}
 
@@ -138,11 +136,9 @@ def svt_check(
     timings["combinatorics"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    if table is None:
-        table = cech.local_cohomology_table(I, field, limits)
     vanish = table.is_row_zero(n - 1)
-    cd = cech.cohomological_dimension(I, field, limits, table)
-    q = cech.q_invariant(I, field, limits, table)
+    cd = cech.cohomological_dimension(table)
+    q = cech.q_invariant(table)
     timings["cohomology"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -150,8 +146,6 @@ def svt_check(
     timings["depth"] = time.monotonic() - t0
 
     return AnalysisReport(
-        ideal=I,
-        field=field,
         hypotheses=hypotheses,
         connected=connected,
         vanishing_top_minus_one=vanish,
@@ -165,31 +159,16 @@ def svt_check(
     )
 
 
-def hlv_check(
-    I: SquareFreeIdeal,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> bool:
+def hlv_check(table: CohomologyTable) -> bool:
     """Hartshorne-Lichtenbaum sentinel: H^n nonzero iff I is m-primary.
 
     Always True; a False return flags an engine bug."""
-    n = I.context.n
-    if table is None:
-        table = cech.local_cohomology_table(I, field, limits)
-    return table.is_row_zero(n) == (not is_m_primary(I))
+    return table.is_row_zero(table.n) == (not is_m_primary(table.ideal))
 
 
-def grade_check(
-    I: SquareFreeIdeal,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> bool:
+def grade_check(table: CohomologyTable) -> bool:
     """Grade sentinel: rows below height(I) vanish and row height(I) does not."""
-    if table is None:
-        table = cech.local_cohomology_table(I, field, limits)
-    h = height(I)
+    h = height(table.ideal)
     below = all(table.is_row_zero(i) for i in range(h))
     return below and not table.is_row_zero(h)
 

@@ -38,9 +38,13 @@ from three sparse ranks (simplicial.restriction_rank):
 
 with d_(K,L) the coboundary of K on the d-faces outside L.  No cohomology
 basis is built, and neither dimension is recomputed: a map is onto iff
-its rank equals the target's entry in the table.  GradedComplex and
-build_graded_complex, the 2^r sign complex of one pattern, are kept only
-as the tests' Cech oracle.
+its rank equals the target's entry in the table.
+
+A CohomologyTable carries its ideal and field, and everything read off it
+takes the table alone.  The variable cap is checked where a table is made:
+in local_cohomology_table, and in the CLI before it trusts a cached table.
+GradedComplex and build_graded_complex, the 2^r sign complex of one
+pattern, are kept only as the tests' Cech oracle.
 """
 
 from __future__ import annotations
@@ -237,61 +241,33 @@ def is_vanishing(
     i: int,
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
 ) -> bool:
-    table = table if table is not None else local_cohomology_table(I, field, limits)
-    return table.is_row_zero(i)
+    return local_cohomology_table(I, field, limits).is_row_zero(i)
 
 
-def cohomological_dimension(
-    I: SquareFreeIdeal,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> int:
-    table = table if table is not None else local_cohomology_table(I, field, limits)
+def cohomological_dimension(table: CohomologyTable) -> int:
     return max(table.nonzero_rows())
 
 
-def is_artinian(
-    I: SquareFreeIdeal,
-    i: int,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> bool:
+def is_artinian(table: CohomologyTable, i: int) -> bool:
     """H^i_I(S) is artinian iff it is supported only at the maximal ideal.
 
     Inverting any variable x_j kills an artinian module, and the graded
     pieces with j not in N assemble to H^i_I(S)_{x_j}; so artinian-ness is
     exactly the vanishing of every pattern except N = [n].
     """
-    table = table if table is not None else local_cohomology_table(I, field, limits)
-    full = I.context.full_mask
+    full = table.ideal.context.full_mask
     return all(p == full for p in table.row(i))
 
 
-def q_invariant(
-    I: SquareFreeIdeal,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> Optional[int]:
+def q_invariant(table: CohomologyTable) -> Optional[int]:
     """Largest i with H^i_I(S) not artinian, or None when all are artinian."""
-    table = table if table is not None else local_cohomology_table(I, field, limits)
-    full = I.context.full_mask
+    full = table.ideal.context.full_mask
     bad = [i for i, p in table.dims if p != full]
     return max(bad) if bad else None
 
 
-def multiplication_rank(
-    I: SquareFreeIdeal,
-    i: int,
-    variable: int,
-    pattern: int,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-) -> int:
+def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: int) -> int:
     """Rank of x_j: H^i_I(S)_N -> H^i_I(S)_{N \\ {j}} for j in N.
 
     Patterns with j outside N change nothing under x_j and are
@@ -301,29 +277,22 @@ def multiplication_rank(
     its rank is simplicial.restriction_rank's.  The target is 0 when
     N \\ {j} is empty, and so is the rank.
     """
+    I = table.ideal
     b = 1 << variable
     if not pattern & b:
         raise ValueError("the variable must lie in the source pattern")
     if not 0 <= i <= I.r:
         return 0
-    limits.check(I)
     target = pattern & ~b
     if not target:
         return 0
     generator_facets = _generator_facets(I)
     delta = _dowker_complex(I, generator_facets(pattern), pattern, pattern)
     sub = _dowker_complex(I, generator_facets(target), target, pattern)
-    return simplicial.restriction_rank(delta, sub, i - 2, field)
+    return simplicial.restriction_rank(delta, sub, i - 2, table.field)
 
 
-def is_multiplication_surjective(
-    I: SquareFreeIdeal,
-    i: int,
-    x: SquareFreeMonomial,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> bool:
+def is_multiplication_surjective(table: CohomologyTable, i: int, x: SquareFreeMonomial) -> bool:
     """Surjectivity of x on H^i_I(S).
 
     Multiplication by a monomial factors through variable steps, and each
@@ -334,7 +303,6 @@ def is_multiplication_surjective(
     """
     if x.is_unit:
         raise ValueError("multiplication by the unit monomial is trivially the identity")
-    table = table if table is not None else local_cohomology_table(I, field, limits)
     # only failures onto a nonzero target matter, so walk the nonzero row
     # entries whose pattern misses j; the source pattern is N | {j}
     row = sorted(table.row(i).items())
@@ -345,18 +313,12 @@ def is_multiplication_surjective(
                 continue
             if table.dim(i, target | b) == 0:
                 return False
-            if multiplication_rank(I, i, j, target | b, field, limits) != dim:
+            if multiplication_rank(table, i, j, target | b) != dim:
                 return False
     return True
 
 
-def is_divisible(
-    I: SquareFreeIdeal,
-    i: int,
-    field: FieldSpec = FieldSpec(0),
-    limits: EngineLimits = DEFAULT_LIMITS,
-    table: Optional[CohomologyTable] = None,
-) -> bool:
+def is_divisible(table: CohomologyTable, i: int) -> bool:
     """Divisibility of H^i_I(S) by every nonzero monomial.
 
     A monomial acts as the composition of its variables, and it is
@@ -365,5 +327,5 @@ def is_divisible(
     extends to arbitrary nonzero ring elements in the graded model is
     deliberately not claimed.)
     """
-    everything = SquareFreeMonomial(I.context, I.context.full_mask)
-    return is_multiplication_surjective(I, i, everything, field, limits, table)
+    context = table.ideal.context
+    return is_multiplication_surjective(table, i, SquareFreeMonomial(context, context.full_mask))

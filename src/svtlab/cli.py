@@ -45,17 +45,26 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _json_list(obj: dict, key: str, of: type = object) -> list:
+    """obj[key] if it is a JSON list (of `of`): a string or an object there
+    would otherwise be read as its characters or its keys."""
+    value = obj[key]
+    if not isinstance(value, list) or not all(isinstance(v, of) for v in value):
+        raise InputError(f"'{key}' must be a JSON list" + (" of lists" if of is list else ""))
+    return value
+
+
 def parse_ideal_document(doc: dict) -> SquareFreeIdeal:
     """JSON schema: {"variables": [...], "ideal": {"generators": [[...]]}}
     or {"variables": [...], "ideal": {"intersection_of_primes": [[...]]}}."""
     try:
-        context = VariableContext(tuple(doc["variables"]))
+        context = VariableContext(tuple(_json_list(doc, "variables")))
         spec = doc["ideal"]
         if "generators" in spec:
-            return SquareFreeIdeal.from_variable_lists(context, spec["generators"])
+            return SquareFreeIdeal.from_variable_lists(context, _json_list(spec, "generators", list))
         if "intersection_of_primes" in spec:
             return SquareFreeIdeal.intersection_of_primes(
-                context, spec["intersection_of_primes"]
+                context, _json_list(spec, "intersection_of_primes", list)
             )
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(str(e)) from e
@@ -112,12 +121,12 @@ def cmd_analyze(args) -> int:
     field = FieldSpec.parse(args.field)
     limits = _limits_from_args(args)
     table, state = _table_with_cache(I, field, limits, args)
-    report = analysis.svt_check(I, field, limits, table=table)
+    report = analysis.svt_check(table)
     report.cache_state = state
     payload = report.to_json()
     payload["sentinels"] = {
-        "hlv": analysis.hlv_check(I, field, limits, table=table),
-        "grade": analysis.grade_check(I, field, limits, table=table),
+        "hlv": analysis.hlv_check(table),
+        "grade": analysis.grade_check(table),
     }
     _emit(payload, args)
     if not all(payload["sentinels"].values()):
@@ -147,7 +156,7 @@ def cmd_svt(args) -> int:
     field = FieldSpec.parse(args.field)
     limits = _limits_from_args(args)
     table, state = _table_with_cache(I, field, limits, args)
-    report = analysis.svt_check(I, field, limits, table=table)
+    report = analysis.svt_check(table)
     report.cache_state = state
     payload = report.to_json()
     del payload["table"]
@@ -188,14 +197,11 @@ def cmd_surjectivity(args) -> int:
         raise InputError("--monomial needs at least one variable name")
     x = SquareFreeMonomial.from_names(I.context, names)
     table, state = _table_with_cache(I, field, limits, args)
-    surjective = cech.is_multiplication_surjective(
-        I, args.degree, x, field, limits, table=table
-    )
+    surjective = cech.is_multiplication_surjective(table, args.degree, x)
     # divisible iff every variable is onto: those of x were just checked
     rest = SquareFreeMonomial(I.context, I.context.full_mask & ~x.support)
     divisible = surjective and (
-        rest.is_unit
-        or cech.is_multiplication_surjective(I, args.degree, rest, field, limits, table=table)
+        rest.is_unit or cech.is_multiplication_surjective(table, args.degree, rest)
     )
     _emit(
         {

@@ -139,20 +139,20 @@ def test_criterion_04_block_family_reduction_and_cap():
 
 def test_criterion_05_surjectivity_fixtures():
     ctx3 = context_of(3)
-    m = SquareFreeIdeal.maximal(ctx3)
+    m_table = local_cohomology_table(SquareFreeIdeal.maximal(ctx3), Q)
     m_checks = [
-        is_multiplication_surjective(m, 3, SquareFreeMonomial(ctx3, 1 << j), Q)
+        is_multiplication_surjective(m_table, 3, SquareFreeMonomial(ctx3, 1 << j))
         for j in range(3)
-    ] + [is_divisible(m, 3, Q)]
+    ] + [is_divisible(m_table, 3)]
 
     ctx2 = VariableContext(("x", "y"))
-    I = SquareFreeIdeal.from_supports(ctx2, [0b10])  # (y)
+    y_table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx2, [0b10]), Q)  # (y)
     x = SquareFreeMonomial.from_names(ctx2, ["x"])
     y = SquareFreeMonomial.from_names(ctx2, ["y"])
     split_checks = [
-        not is_multiplication_surjective(I, 1, x, Q),
-        is_multiplication_surjective(I, 1, y, Q),
-        not is_divisible(I, 1, Q),
+        not is_multiplication_surjective(y_table, 1, x),
+        is_multiplication_surjective(y_table, 1, y),
+        not is_divisible(y_table, 1),
     ]
     report(5, all(m_checks + split_checks))
 
@@ -160,14 +160,15 @@ def test_criterion_05_surjectivity_fixtures():
 def test_criterion_06_sentinels_on_fixtures_and_random_instances():
     failures = 0
     for name in ALL_FIXTURES:
-        I = load_fixture(name)
-        if not (hlv_check(I, Q) and grade_check(I, Q)):
+        table = local_cohomology_table(load_fixture(name), Q)
+        if not (hlv_check(table) and grade_check(table)):
             failures += 1
     pair_pool = []
     for n in (3, 4, 5):
         count = 34 if n == 3 else 33
         for I in seeded_random_ideals(n, count, seed=1000 + n):
-            if not (hlv_check(I, Q) and grade_check(I, Q)):
+            table = local_cohomology_table(I, Q)
+            if not (hlv_check(table) and grade_check(table)):
                 failures += 1
             pair_pool.append(I)
     rng = random.Random(99)
@@ -209,12 +210,12 @@ def test_criterion_08_q_invariant_of_coordinate_primes():
         p = SquareFreeIdeal.intersection_of_primes(
             ctx, [[f"x{i + 1}" for i in range(n - 3)]]
         )
-        checks.append(q_invariant(p, Q) == n - 3)
+        checks.append(q_invariant(local_cohomology_table(p, Q)) == n - 3)
     ctx = context_of(4)
     m = SquareFreeIdeal.maximal(ctx)
     table = local_cohomology_table(m, Q)
-    checks.append(q_invariant(m, table=table) is None)
-    checks.append(all(is_artinian(m, i, table=table) for i in range(ctx.n + 1)))
+    checks.append(q_invariant(table) is None)
+    checks.append(all(is_artinian(table, i) for i in range(ctx.n + 1)))
     report(8, all(checks))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import hochster_table_all_faces
 
-from svtlab.cech import EngineLimits
+from svtlab.cech import EngineLimits, local_cohomology_table
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, VariableContext, dim_quotient, minimal_primes
@@ -32,7 +32,7 @@ class TestSvtCheck:
     def test_two_blocks_eight_vars(self):
         ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
         I = primes(ctx, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
-        report = svt_check(I, Q)
+        report = svt_check(local_cohomology_table(I, Q))
         assert report.connected
         assert report.vanishing_top_minus_one
         assert report.agreement
@@ -44,7 +44,7 @@ class TestSvtCheck:
     def test_disconnected_blocks(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2", "x3"], ["x4", "x5", "x6"])
-        report = svt_check(I, Q)
+        report = svt_check(local_cohomology_table(I, Q))
         assert not report.connected
         assert not report.vanishing_top_minus_one
         assert report.agreement
@@ -52,7 +52,7 @@ class TestSvtCheck:
     def test_three_planes(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"], ["x5", "x6"])
-        report = svt_check(I, Q)
+        report = svt_check(local_cohomology_table(I, Q))
         assert report.connected and report.vanishing_top_minus_one
         assert report.agreement
         assert report.depth == 2
@@ -60,7 +60,7 @@ class TestSvtCheck:
     def test_report_json_round_trips(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
-        doc = svt_check(I, Q).to_json()
+        doc = svt_check(local_cohomology_table(I, Q)).to_json()
         blob = json.dumps(doc, sort_keys=True)
         again = json.loads(blob)
         assert again["verdicts"]["agreement"] is True
@@ -71,12 +71,12 @@ class TestSvtCheck:
     def test_vacuous_flag_on_dim_two_primes(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"])  # dim(S/q) = 2: finite-length check is live
-        report = svt_check(I, Q)
+        report = svt_check(local_cohomology_table(I, Q))
         fl = [h for h in report.hypotheses if "finite" in h.name.lower()]
         assert fl and not fl[0].vacuous
 
         J = primes(ctx, ["x1"])  # dim(S/q) = 3: the check is vacuous
-        report = svt_check(J, Q)
+        report = svt_check(local_cohomology_table(J, Q))
         fl = [h for h in report.hypotheses if "finite" in h.name.lower()]
         assert fl and fl[0].vacuous
 
@@ -85,25 +85,26 @@ class TestSvtCheck:
     def test_agreement_is_always_true(self, I):
         if dim_quotient(I) < 1:
             return
-        assert svt_check(I, Q).agreement
+        assert svt_check(local_cohomology_table(I, Q)).agreement
 
 
 class TestSentinels:
     def test_hlv_examples(self):
         ctx = context_of(4)
-        assert hlv_check(SquareFreeIdeal.maximal(ctx), Q)
-        assert hlv_check(primes(ctx, ["x1", "x2"], ["x3", "x4"]), Q)
+        assert hlv_check(local_cohomology_table(SquareFreeIdeal.maximal(ctx), Q))
+        assert hlv_check(local_cohomology_table(primes(ctx, ["x1", "x2"], ["x3", "x4"]), Q))
 
     def test_grade_examples(self):
         ctx = context_of(4)
-        assert grade_check(primes(ctx, ["x1", "x2"], ["x3", "x4"]), Q)
-        assert grade_check(SquareFreeIdeal.from_supports(ctx, [0b1111]), Q)
+        assert grade_check(local_cohomology_table(primes(ctx, ["x1", "x2"], ["x3", "x4"]), Q))
+        assert grade_check(local_cohomology_table(SquareFreeIdeal.from_supports(ctx, [0b1111]), Q))
 
     @given(proper_ideals())
     @settings(max_examples=25, deadline=None)
     def test_sentinels_hold_everywhere(self, I):
-        assert hlv_check(I, Q)
-        assert grade_check(I, Q)
+        table = local_cohomology_table(I, Q)
+        assert hlv_check(table)
+        assert grade_check(table)
 
 
 class TestMayerVietoris:
@@ -203,7 +204,7 @@ FIXTURES = [
 
 def assert_finite_length_hypotheses_match_hochster(I, field, limits=EngineLimits()):
     """The closed form svt_check uses for S/q against q's own Hochster table."""
-    report = svt_check(I, field, limits)
+    report = svt_check(local_cohomology_table(I, field, limits))
     by_name = {h.name: h for h in report.hypotheses}
     for p in minimal_primes(I):
         q = p.as_ideal()

@@ -43,6 +43,19 @@ class TestParsing:
             parse_ideal_document({"variables": ["x"], "ideal": {}})
         with pytest.raises(InputError):
             parse_ideal_document({"variables": ["x", "x"], "ideal": {"generators": [["x"]]}})
+        # a string or an object in place of a list is not iterated as its
+        # characters or keys
+        for doc in [
+            {"variables": "xyz", "ideal": {"generators": [["x", "y"], ["z"]]}},
+            {"variables": {"x": 0, "y": 1}, "ideal": {"generators": [["x"]]}},
+            {"variables": ["x", "y", "z"], "ideal": {"generators": ["xy", "z"]}},
+            {"variables": ["x", "y", "z"], "ideal": {"generators": "xy"}},
+            {"variables": ["x", "y", "z"], "ideal": {"generators": {"x": ["y"]}}},
+            {"variables": ["x", "y", "z"], "ideal": {"intersection_of_primes": ["xy", "z"]}},
+            {"variables": ["x", "y", "z"], "ideal": {"intersection_of_primes": [{"x": 1}]}},
+        ]:
+            with pytest.raises(InputError):
+                parse_ideal_document(doc)
 
 
 class TestCommands:
@@ -153,9 +166,9 @@ class TestCommands:
         computed = []
         real = cech.multiplication_rank
 
-        def spy(I, i, variable, pattern, *args):
+        def spy(table, i, variable, pattern):
             computed.append((i, pattern, variable))
-            return real(I, i, variable, pattern, *args)
+            return real(table, i, variable, pattern)
 
         monkeypatch.setattr(cech, "multiplication_rank", spy)
         code, out, _ = invoke(
@@ -229,6 +242,13 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "analyze", "--input", str(bad), "--no-cache")
         assert code == 1
 
+    def test_string_in_place_of_a_list(self, capsys, tmp_path):
+        doc = tmp_path / "chars.json"
+        doc.write_text(json.dumps({"variables": "xyz", "ideal": {"generators": ["xy", "z"]}}))
+        code, out, err = invoke(capsys, "svt", "--input", str(doc), "--no-cache")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "input_error"
+
     def test_cap_exceeded(self, capsys):
         code, _, err = invoke(
             capsys, "cohomology", "--input", fixture_path("ex45_n3.json"), "--no-cache",
@@ -236,14 +256,23 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "cap_exceeded"
 
-    @pytest.mark.parametrize("command", ["analyze", "cohomology", "svt"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze"],
+            ["cohomology"],
+            ["svt"],
+            ["surjectivity", "--degree", "4", "--monomial", "x11"],
+        ],
+        ids=["analyze", "cohomology", "svt", "surjectivity"],
+    )
     def test_cached_table_does_not_lift_the_cap(self, capsys, cache_dir, command):
         src = fixture_path("ex45_n3.json")  # 9 variables
         code, _, _ = invoke(
-            capsys, command, "--input", src, "--cache-dir", cache_dir, "--max-vars", "9",
+            capsys, *command, "--input", src, "--cache-dir", cache_dir, "--max-vars", "9",
         )
         assert code == 0
-        code, out, err = invoke(capsys, command, "--input", src, "--cache-dir", cache_dir)
+        code, out, err = invoke(capsys, *command, "--input", src, "--cache-dir", cache_dir)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "cap_exceeded"
 

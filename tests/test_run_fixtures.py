@@ -24,8 +24,11 @@ def test_main_returns_0_over_q(capsys):
     out = capsys.readouterr().out
     assert "max_ideal_n2.json" in out and "agreement=False" in out  # m-primary: exempt
     assert "FAILED" not in out
-    analyzed = [line for line in out.splitlines() if "SKIPPED" not in line]
+    assert "SKIPPED" not in out  # ex45_n3 (9 variables) is checked, not skipped
+    analyzed = out.splitlines()
     assert analyzed and all(line.endswith("duality=True") for line in analyzed)
+    [ex45_n3] = [line for line in analyzed if line.startswith("ex45_n3.json")]
+    assert ex45_n3.endswith("duality=True")
 
 
 def test_disagreement_on_a_positive_dimensional_fixture_returns_1(monkeypatch, capsys):
@@ -34,9 +37,9 @@ def test_disagreement_on_a_positive_dimensional_fixture_returns_1(monkeypatch, c
         two_planes = parse_ideal_document(json.load(fh))
     real = script.svt_check
 
-    def flipped(ideal, *args, **kwargs):
-        report = real(ideal, *args, **kwargs)
-        if ideal == two_planes:
+    def flipped(table):
+        report = real(table)
+        if table.ideal == two_planes:
             report = dataclasses.replace(
                 report, vanishing_top_minus_one=not report.vanishing_top_minus_one
             )
