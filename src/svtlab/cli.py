@@ -29,10 +29,6 @@ EXIT_INPUT = 1
 EXIT_CAPS = 2
 EXIT_SENTINEL = 3
 
-# graph has no variable cap and its cost grows with the square of the number
-# of minimal primes, so it refuses ideals with more generators than this
-GRAPH_MAX_GENERATORS = 20
-
 
 class InputError(ValueError):
     pass
@@ -166,10 +162,7 @@ def cmd_svt(args) -> int:
 
 def cmd_graph(args) -> int:
     I = load_ideal(args.input)
-    if I.r > GRAPH_MAX_GENERATORS:
-        raise CapExceededError(
-            f"{I.r} generators exceeds the transversal cap {GRAPH_MAX_GENERATORS}"
-        )
+    _limits_from_args(args).check(I)
     G = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
     dot = graphs.to_dot(G)
     if args.dot:
@@ -260,15 +253,15 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, with_engine=True, with_cache=True):
+def _add_common(p, with_field=True, with_cache=True):
     p.add_argument("--output", help="write the JSON result here instead of stdout")
-    if with_engine:
+    if with_field:
         p.add_argument(
             "--field",
             default="rationals",
             help="coefficient field: 'rationals' or a prime p",
         )
-        p.add_argument("--max-vars", type=int, default=EngineLimits.max_vars)
+    p.add_argument("--max-vars", type=int, default=EngineLimits.max_vars)
     if with_cache:
         p.add_argument("--cache-dir", help="cache directory (default: $SVTLAB_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")
@@ -300,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=["theta", "gamma"], required=True)
     p.add_argument("--dot", help="write a DOT file here")
-    _add_common(p, with_engine=False, with_cache=False)
+    _add_common(p, with_field=False, with_cache=False)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("surjectivity", help="surjectivity of a monomial on H^i")

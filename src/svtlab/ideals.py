@@ -7,6 +7,7 @@ types are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,8 +24,7 @@ class IdealDomainError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A resource cap was hit: the variables of a context or of the engine,
-    or the generators `svtlab graph` accepts."""
+    """A resource cap was hit: the variables of a context or of the engine."""
 
 
 def popcount(mask: int) -> int:
@@ -180,6 +180,10 @@ class SquareFreeIdeal:
     def r(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
+    def _transversals(self) -> tuple:
+        return _minimal_transversals(self)
+
     def support_union(self) -> int:
         u = 0
         for g in self.generators:
@@ -282,7 +286,7 @@ def minimal_primes(I: SquareFreeIdeal) -> tuple:
     cap applies: the transversal search visits at most 2^n sets.
     """
     _require_analyzable(I)
-    minimal = sorted(_minimal_transversals(I), key=lambda m: tuple(bits(m)))
+    minimal = sorted(I._transversals, key=lambda m: tuple(bits(m)))
     return tuple(CoordinatePrime(I.context, m) for m in minimal)
 
 
@@ -305,7 +309,7 @@ def stanley_reisner_facets(I: SquareFreeIdeal) -> tuple:
     """
     _require_analyzable(I)
     full = I.context.full_mask
-    return tuple(sorted(full & ~t for t in _minimal_transversals(I)))
+    return tuple(sorted(full & ~t for t in I._transversals))
 
 
 def dim_quotient(I: SquareFreeIdeal) -> int:

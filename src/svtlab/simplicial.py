@@ -6,7 +6,7 @@ empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
 
 Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
-Stanley-Reisner complex of I.  Three facts keep it cheap:
+Stanley-Reisner complex of I.  Four facts keep it cheap:
 
 - Star lemma: for a vertex v, the star st v (the faces whose union with v
   is a face) is a cone over v, so H~^d(K) = H^d(K, st v).  The faces
@@ -19,6 +19,9 @@ Stanley-Reisner complex of I.  Three facts keep it cheap:
   face that is an intersection of facets (the empty face included when
   all facets meet in it) can carry cohomology, and hochster_table visits
   only those.
+- Reduced cohomology does not see vertex names, so hochster_table keys
+  each link by its facets with their vertex union relabelled 0..k-1 in
+  order, and ranks one complex per key; the memo lives for one call.
 - S/P for a coordinate prime P is a polynomial ring in d = n - ht P
   variables (its complex is a simplex), so H^i_m(S/P) is nonzero only at
   i = d; analysis.svt_check uses that instead of a table per prime.
@@ -53,6 +56,13 @@ class SimplicialComplex:
         ):
             raise ValueError("facet list must be irredundant")
         object.__setattr__(self, "facets", facets)
+
+    @classmethod
+    def _trusted(cls, n: int, facets: tuple) -> "SimplicialComplex":
+        """A complex on facets already sorted and irredundant, not re-checked."""
+        delta = object.__new__(cls)
+        delta.__dict__.update(n=n, facets=facets, void=False)
+        return delta
 
     @classmethod
     def void_complex(cls, n: int) -> "SimplicialComplex":
@@ -110,10 +120,28 @@ def link(delta: SimplicialComplex, face: int) -> SimplicialComplex:
     """{G : G disjoint from face, G union face in delta}."""
     if not delta.contains(face):
         raise ValueError("face is not in the complex")
-    if face == 0:
-        return delta
-    # G1 - F inside G2 - F forces G1 inside G2, so these facets are irredundant
-    return SimplicialComplex(delta.n, tuple(f & ~face for f in delta.facets if face & f == face))
+    # G1 - F inside G2 - F forces G1 inside G2, so these facets are
+    # irredundant, and taking the same bits from each keeps their order
+    facets = tuple(f & ~face for f in delta.facets if face & f == face)
+    return SimplicialComplex._trusted(delta.n, facets)
+
+
+def _relabelled(facets: tuple) -> SimplicialComplex:
+    """The complex on facets with their vertex union renamed 0..k-1 in order."""
+    union = 0
+    for f in facets:
+        union |= f
+    out = []
+    for f in facets:
+        g, k, rest = 0, 1, union
+        while rest:
+            low = rest & -rest
+            if f & low:
+                g |= k
+            k <<= 1
+            rest ^= low
+        out.append(g)
+    return SimplicialComplex._trusted(popcount(union), tuple(sorted(out)))
 
 
 def maximal_faces(masks) -> tuple:
@@ -241,10 +269,14 @@ def hochster_table(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int]
     while frontier:
         frontier = {a & b for a in frontier for b in delta.facets} - closed
         closed |= frontier
+    memo: Dict[tuple, Dict[int, int]] = {}  # relabelled link facets -> H~^*
     table = {}
     for face in sorted(closed):
-        lk = link(delta, face)
-        for d, h in reduced_cohomology(lk, field).items():
+        lk = _relabelled(tuple(f & ~face for f in delta.facets if face & f == face))
+        coh = memo.get(lk.facets)
+        if coh is None:
+            coh = memo[lk.facets] = reduced_cohomology(lk, field)
+        for d, h in coh.items():
             table[(d + popcount(face) + 1, face)] = h
     return table
 

@@ -198,7 +198,8 @@ class TestSweep:
 
 FIXTURES = [
     "ex313.json", "ex43.json", "ex45_n3.json", "ex45_reduced.json",
-    "ex46.json", "ex47.json", "k8_edges.json", "max_ideal_n2.json", "two_planes.json",
+    "ex46.json", "ex47.json", "k8_edges.json", "max_ideal_n2.json", "rp2.json",
+    "two_planes.json",
 ]
 
 

@@ -1,14 +1,21 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 from conftest import fixture_path
 
-from svtlab import cech
+from svtlab import cech, ideals
 from svtlab.cli import main, parse_ideal_document
 from svtlab.ideals import SquareFreeIdeal, VariableContext
+
+
+def all_subsets_document(n, k):
+    """The ideal of all k-subsets of n variables, C(n, k) generators."""
+    names = [f"x{j}" for j in range(1, n + 1)]
+    return {"variables": names, "ideal": {"generators": [list(c) for c in combinations(names, k)]}}
 
 
 @pytest.fixture
@@ -299,18 +306,43 @@ class TestExitCodes:
         assert payload["sentinels"] == {"hlv": True, "grade": True}
         assert payload["verdicts"]["cd"] + payload["verdicts"]["depth"] == 8
 
-    def test_graph_refuses_more_than_twenty_generators(self, capsys, tmp_path):
-        names = [f"x{k}" for k in range(1, 8)]
-        doc = {
-            "variables": names,
-            "ideal": {"generators": [[a, b] for k, a in enumerate(names) for b in names[k + 1:]]},
-        }
-        path = tmp_path / "k7.json"
-        path.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("name", ["k8_edges.json", "ex43.json", "subsets"])
+    def test_analyze_searches_the_minimal_primes_once(self, capsys, tmp_path, monkeypatch, name):
+        if name == "subsets":
+            path = tmp_path / "subsets.json"
+            path.write_text(json.dumps(all_subsets_document(8, 4)))
+            src = str(path)
+        else:
+            src = fixture_path(name)
+        calls = []
+        search = ideals._minimal_transversals
+        monkeypatch.setattr(ideals, "_minimal_transversals", lambda I: calls.append(I) or search(I))
+        code, _, err = invoke(capsys, "analyze", "--input", src, "--no-cache")
+        assert code == 0 and err == ""
+        assert len(calls) == 1
+
+    def test_graph_on_all_four_subsets_of_eight_variables(self, capsys, tmp_path):
+        # r = 70 at the default variable cap: the generator count is not capped
+        path = tmp_path / "subsets.json"
+        path.write_text(json.dumps(all_subsets_document(8, 4)))
         for kind in ("theta", "gamma"):
             code, out, err = invoke(capsys, "graph", "--input", str(path), "--kind", kind)
+            assert code == 0 and err == ""
+            payload = json.loads(out)
+            assert len(payload["vertices"]) == 56  # the 5-subsets
+            assert payload["connected"] is True
+
+    def test_graph_refuses_nine_variables_at_default_cap(self, capsys):
+        src = fixture_path("ex45_n3.json")  # 9 variables
+        for kind in ("theta", "gamma"):
+            code, out, err = invoke(capsys, "graph", "--input", src, "--kind", kind)
             assert code == 2 and out == ""
             assert json.loads(err)["error"] == "cap_exceeded"
+            code, out, err = invoke(
+                capsys, "graph", "--input", src, "--kind", kind, "--max-vars", "9",
+            )
+            assert code == 0 and err == ""
+            assert json.loads(out)["kind"] == kind
 
     def test_cap_override_flag(self, capsys):
         code, out, _ = invoke(
@@ -340,15 +372,15 @@ class TestExitCodes:
             ["frobnicate"],
             ["surjectivity", "--input", fixture_path("ex313.json"),
              "--degree", "two", "--monomial", "x"],
-            # graph builds no table, so it takes no engine caps
+            # graph builds no table, so it takes no field
             ["graph", "--input", fixture_path("ex47.json"), "--kind", "theta",
-             "--max-vars", "3"],
+             "--field", "2"],
             # the engine's one cap is on variables
             ["cohomology", "--input", fixture_path("ex47.json"), "--cell-budget", "10"],
             ["analyze", "--input", fixture_path("k8_edges.json"), "--max-generators", "30"],
         ],
         ids=["unknown-flag", "missing-input", "missing-command", "unknown-command",
-             "bad-int", "graph-cap-flag", "cell-budget-flag", "generator-cap-flag"],
+             "bad-int", "graph-field-flag", "cell-budget-flag", "generator-cap-flag"],
     )
     def test_usage_error_is_one_json_line(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

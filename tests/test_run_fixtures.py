@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 from conftest import fixture_path
 
 from svtlab.cli import parse_ideal_document
@@ -29,6 +31,15 @@ def test_main_returns_0_over_q(capsys):
     assert analyzed and all(line.endswith("duality=True") for line in analyzed)
     [ex45_n3] = [line for line in analyzed if line.startswith("ex45_n3.json")]
     assert ex45_n3.endswith("duality=True")
+
+
+@pytest.mark.parametrize("field, depth_cd", [("0", "depth=3 cd=3"), ("2", "depth=2 cd=4")])
+def test_projective_plane_depends_on_the_field(capsys, field, depth_cd):
+    # 2-torsion in H~^1(RP^2) moves depth and cd over GF(2); both sides agree
+    assert load_script().main(["--field", field]) == 0
+    [rp2] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("rp2.json")]
+    assert depth_cd in rp2
+    assert "agreement=True" in rp2 and rp2.endswith("duality=True")
 
 
 def test_disagreement_on_a_positive_dimensional_fixture_returns_1(monkeypatch, capsys):

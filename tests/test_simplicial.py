@@ -11,9 +11,9 @@ from oracles import (
 )
 from test_cech import projective_plane_ideal
 
-from svtlab import linalg
+from svtlab import linalg, simplicial
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, VariableContext, popcount
+from svtlab.ideals import SquareFreeIdeal, VariableContext, bits, popcount
 from svtlab.simplicial import (
     SimplicialComplex,
     complex_from_ideal,
@@ -100,6 +100,14 @@ class TestLink:
         delta = complex_from_ideal(I)
         lk = link(delta, 0b001)  # two points x2, x3
         assert sorted(lk.facets) == [0b010, 0b100]
+
+    def test_public_constructor_rejects_redundant_facets(self):
+        # links skip the check; a complex built from outside still gets it
+        with pytest.raises(ValueError, match="irredundant"):
+            SimplicialComplex(3, (0b011, 0b001))
+        with pytest.raises(ValueError, match="irredundant"):
+            SimplicialComplex(3, (0b111, 0b011, 0b100))
+        assert SimplicialComplex(3, (0b110, 0b011, 0b110)).facets == (0b011, 0b110)
 
 
 class TestEuler:
@@ -217,8 +225,37 @@ class TestSkippedLinks:
     @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
     # the real projective plane: facets meet in the empty face, 2-torsion
     @example(I=projective_plane_ideal())
+    # links with equal facet sizes, different cohomology: lk x1 is the hollow
+    # triangle on x2, x4, x5 and lk x2 the path x5-x1-x4-x3
+    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00101, 0b10100, 0b11010]))
+    # five triangles on five vertices each: lk x5 is a hollow tetrahedron on
+    # x1..x4 with the triangle x2x3x6 (H~^2 = k), lk x2 is acyclic
+    @example(I=SquareFreeIdeal.from_supports(context_of(6), [0b001111, 0b100001, 0b111000]))
     def test_table_equals_all_faces_oracle(self, field, I):
         assert hochster_table(I, field) == hochster_table_all_faces(I, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    def test_one_rank_per_distinct_relabelled_link(self, field, monkeypatch):
+        I = projective_plane_ideal()
+        delta = complex_from_ideal(I)
+        faces = [f for level in delta.faces_by_card() for f in level]
+        # every face of RP^2 is an intersection of facets, so all 32 are
+        # visited; their links, with vertices renamed 0..k-1 in order
+        distinct = set()
+        for face in faces:
+            facets = link(delta, face).facets
+            names = sorted({v for f in facets for v in bits(f)})
+            distinct.add(tuple(sorted(sum(1 << names.index(v) for v in bits(f)) for f in facets)))
+        calls = []
+
+        def spy(lk, fld):
+            calls.append(lk.facets)
+            return reduced_cohomology(lk, fld)
+
+        monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
+        assert depth_quotient(I, field) == (2 if field.characteristic == 2 else 3)
+        assert sorted(calls) == sorted(distinct)
+        assert len(calls) < len(faces) == 32
 
     @given(
         st.integers(1, 6).flatmap(
