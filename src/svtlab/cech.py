@@ -28,17 +28,19 @@ table call.  Ranks are taken exactly (integer elimination over Q, or
 mod p).
 
 Multiplication by x_j sends pattern N to N \\ {j}.  On either side the
-complex K_{N \\ {j}} is a subcomplex of K_N (fewer facets on the
+complex L = K_{N \\ {j}} is a subcomplex of K = K_N (fewer facets on the
 generators, an induced subcomplex on the variables), and x_j is the
-restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}); multiplication_rank
-builds both on the side N selects and takes the rank of the restriction
-from three sparse ranks (simplicial.restriction_rank):
+restriction H~^{i-2}(K) -> H~^{i-2}(L).  multiplication_rank builds both
+on the side N selects, takes h = H^*(K, L) from
+simplicial.relative_cohomology, and reads the rank off the exact sequence
+H^e(K, L) -> H~^e(K) -> H~^e(L) -> H^{e+1}(K, L), e = k - 2, with the
+cohomology dimensions T(k, N) read from the table: rk_0 = 0 and, for
+k = 1..i,
 
-    rank = |L_d| - rk d_L^{d-1} - rk d_K^d + rk d_(K,L)^d,  d = i - 2,
+    rk_k = T(k, N) - h^{k-2} + T(k-1, N \\ {j}) - rk_{k-1}.
 
-with d_(K,L) the coboundary of K on the d-faces outside L.  No cohomology
-basis is built, and neither dimension is recomputed: a map is onto iff
-its rank equals the target's entry in the table.
+No cohomology basis is built, and a map is onto iff its rank equals the
+target's entry in the table.
 
 A CohomologyTable carries its ideal and field, and everything read off it
 takes the table alone.  The variable cap is checked where a table is made:
@@ -274,8 +276,8 @@ def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: 
     isomorphisms, so only these comparison maps are computed.  The map is
     the restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}) between the
     Dowker complexes of the two patterns, both on the side N selects, and
-    its rank is simplicial.restriction_rank's.  The target is 0 when
-    N \\ {j} is empty, and so is the rank.
+    its rank follows from the pair's exact sequence (module docstring).
+    The target is 0 when N \\ {j} is empty, and so is the rank.
     """
     I = table.ideal
     b = 1 << variable
@@ -289,7 +291,12 @@ def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: 
     generator_facets = _generator_facets(I)
     delta = _dowker_complex(I, generator_facets(pattern), pattern, pattern)
     sub = _dowker_complex(I, generator_facets(target), target, pattern)
-    return simplicial.restriction_rank(delta, sub, i - 2, table.field)
+    outside = [f for f in delta.facets if not sub.contains(f)]
+    h = simplicial.relative_cohomology(outside, sub.facets, table.field)
+    rank = 0
+    for k in range(1, i + 1):
+        rank = table.dim(k, pattern) - h.get(k - 2, 0) + table.dim(k - 1, target) - rank
+    return rank
 
 
 def is_multiplication_surjective(table: CohomologyTable, i: int, x: SquareFreeMonomial) -> bool:

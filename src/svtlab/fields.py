@@ -9,10 +9,10 @@ arithmetic, because every quantity svtlab computes is a count of terms
 plus and minus ranks of sparse integer matrices.  That includes the rank
 of multiplication by x_j on H^i: it is the restriction from the Dowker
 complex of the source pattern to its subcomplex for the target, so its
-rank is read off three ranks, one coboundary of each complex and one of
-the pair (simplicial.restriction_rank states the formula).  linalg takes
-every rank with one sparse elimination: fraction-free on integers over
-Q, on native ints mod p over GF(p).
+rank follows from the relative cohomology of the pair and the table by
+exactness (cech states the recurrence).  linalg takes every rank with one
+sparse elimination: fraction-free on integers over Q, on native ints mod
+p over GF(p).
 """
 
 from __future__ import annotations

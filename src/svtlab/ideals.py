@@ -181,8 +181,9 @@ class SquareFreeIdeal:
         return len(self.generators)
 
     @functools.cached_property
-    def _transversals(self) -> tuple:
-        return _minimal_transversals(self)
+    def _minimal_primes(self) -> tuple:
+        found = sorted(_minimal_transversals(self), key=lambda m: tuple(bits(m)))
+        return tuple(CoordinatePrime(self.context, m) for m in found)
 
     def support_union(self) -> int:
         u = 0
@@ -286,8 +287,7 @@ def minimal_primes(I: SquareFreeIdeal) -> tuple:
     cap applies: the transversal search visits at most 2^n sets.
     """
     _require_analyzable(I)
-    minimal = sorted(I._transversals, key=lambda m: tuple(bits(m)))
-    return tuple(CoordinatePrime(I.context, m) for m in minimal)
+    return I._minimal_primes
 
 
 def is_m_primary(I: SquareFreeIdeal) -> bool:
@@ -309,7 +309,7 @@ def stanley_reisner_facets(I: SquareFreeIdeal) -> tuple:
     """
     _require_analyzable(I)
     full = I.context.full_mask
-    return tuple(sorted(full & ~t for t in I._transversals))
+    return tuple(sorted(full & ~p.variables for p in I._minimal_primes))
 
 
 def dim_quotient(I: SquareFreeIdeal) -> int:

@@ -1,11 +1,11 @@
 """Exact linear algebra over Q and GF(p): one sparse elimination.
 
 Matrices are stored as lists of sparse rows (dict column -> nonzero int).
-`rank` is the only operation: every cohomology dimension, and the rank of
-every multiplication map on cohomology (a restriction between simplicial
-complexes, three ranks in simplicial.restriction_rank), is a count of
-faces plus and minus ranks of sparse coboundary matrices, so no kernel
-basis or echelon form is kept.
+`rank` is the only operation, and simplicial.relative_cohomology its one
+caller: every cohomology dimension is a count of faces plus and minus
+ranks of sparse coboundary matrices, and the rank of every multiplication
+map follows from such dimensions by exactness, so no kernel basis or
+echelon form is kept.
 
 The elimination is the same for both fields.  Over GF(p) the entries are
 reduced mod p first and stay native ints in 0..p-1.  Each step pivots on

@@ -8,12 +8,13 @@ Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
 Stanley-Reisner complex of I.  Four facts keep it cheap:
 
-- Star lemma: for a vertex v, the star st v (the faces whose union with v
-  is a face) is a cone over v, so H~^d(K) = H^d(K, st v).  The faces
-  outside st v are upward closed, and their cochains form a subcomplex
-  with K's signs; reduced_cohomology takes its ranks for a vertex in the
-  most facets.  The empty face always lies in st v, so the augmentation
-  is never built, and a cone (st v = K) leaves no faces at all.
+- One kernel, relative_cohomology, gives H^d(K, L) for a subcomplex L
+  holding the empty face: the faces of K outside L are upward closed, and
+  their cochains form a subcomplex with K's signs, so only those faces
+  are enumerated and only their coboundaries ranked.  Star lemma: the
+  star st v (the faces whose union with v is a face) is a cone over v, so
+  H~^d(K) = H^d(K, st v); reduced_cohomology takes L = st v for a vertex
+  in the most facets, and a cone (st v = K) leaves no faces at all.
 - The facets of lk F are G minus F for the facets G that contain F, so
   lk F is a cone exactly when those facets meet in more than F.  Only a
   face that is an intersection of facets (the empty face included when
@@ -44,12 +45,9 @@ from .ideals import (
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int  # ambient vertex count
-    facets: tuple  # irredundant bitmasks; () with void=True is the VOID complex
-    void: bool = False
+    facets: tuple  # irredundant bitmasks; () is the VOID complex
 
     def __post_init__(self):
-        if self.void and self.facets:
-            raise ValueError("the void complex has no facets")
         facets = tuple(sorted(set(self.facets)))
         if any(
             f != g and f & g == f for f in facets for g in facets
@@ -61,12 +59,12 @@ class SimplicialComplex:
     def _trusted(cls, n: int, facets: tuple) -> "SimplicialComplex":
         """A complex on facets already sorted and irredundant, not re-checked."""
         delta = object.__new__(cls)
-        delta.__dict__.update(n=n, facets=facets, void=False)
+        delta.__dict__.update(n=n, facets=facets)
         return delta
 
     @classmethod
     def void_complex(cls, n: int) -> "SimplicialComplex":
-        return cls(n, (), void=True)
+        return cls(n, ())
 
     @classmethod
     def empty_complex(cls, n: int) -> "SimplicialComplex":
@@ -74,7 +72,7 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return self.void
+        return not self.facets
 
     @property
     def is_empty(self) -> bool:
@@ -87,28 +85,7 @@ class SimplicialComplex:
         return max(popcount(f) for f in self.facets) - 1
 
     def contains(self, face: int) -> bool:
-        if self.is_void:
-            return False
         return any(face & f == face for f in self.facets)
-
-    def faces_by_card(self) -> list:
-        """faces_by_card()[c] is the sorted list of faces with c vertices.
-
-        Every face is a submask of a facet, so one submask walk per facet
-        finds them all; VOID has no cardinality levels at all.
-        """
-        if self.is_void:
-            return []
-        faces = set()
-        for f in self.facets:
-            sub = f
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & f
-        levels = [[0]] + [[] for _ in range(self.dim() + 1)]
-        for face in sorted(faces):
-            levels[popcount(face)].append(face)
-        return levels
 
 
 def complex_from_ideal(I: SquareFreeIdeal) -> SimplicialComplex:
@@ -174,34 +151,18 @@ def _coboundary_rows(src: list, tgt: list) -> list:
     return rows
 
 
-def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, int]:
-    """dims of H~^d(delta; k) for d >= -1, nonzero entries only.
+def relative_cohomology(outside, inside, field: FieldSpec) -> Dict[int, int]:
+    """dims of H^d(K, L; k) for d >= 0, nonzero entries only.
 
-    Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.  Otherwise
-    the dims are those of H^d(delta, st v) (the star lemma above), with v
-    a vertex in the most facets and the lowest of those on ties.
+    L is a subcomplex of K holding the empty face, with facets `inside`;
+    `outside` are the facets of K not in L, and every face of K outside L
+    lies in one of them.
     """
-    if delta.is_empty:
-        return {-1: 1}
-    if not delta.facets:
-        return {}  # VOID
-    counts = [0] * delta.n
-    for f in delta.facets:
-        while f:
-            low = f & -f
-            counts[low.bit_length() - 1] += 1
-            f ^= low
-    v = 1 << counts.index(max(counts))
-    star = [f for f in delta.facets if f & v]
-    others = [f for f in delta.facets if not f & v]
-    if not others:
-        return {}  # a cone over v is acyclic
-    # faces outside st v, top down: every face of a face outside the star
-    # is outside it or in it with all of its own faces
-    top = max(map(popcount, others))
+    top = max(map(popcount, outside), default=0)
     levels = [set() for _ in range(top + 1)]
-    for f in others:
+    for f in outside:
         levels[popcount(f)].add(f)
+    # every face of a face outside L is outside L or in L
     for c in range(top, 1, -1):
         seen = set()
         for g in levels[c]:
@@ -212,7 +173,7 @@ def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, 
                 h = g ^ low
                 if h not in seen:
                     seen.add(h)
-                    if all(h & s != h for s in star):
+                    if all(h & s != h for s in inside):
                         levels[c - 1].add(h)
     levels = [sorted(level) for level in levels]
     # ranks[c]: rank of the coboundary from faces with c vertices to c + 1
@@ -228,32 +189,28 @@ def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, 
     return dims
 
 
-def restriction_rank(
-    delta: SimplicialComplex, sub: SimplicialComplex, d: int, field: FieldSpec
-) -> int:
-    """Rank of the restriction H~^d(delta) -> H~^d(sub), sub a subcomplex of delta.
+def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec) -> Dict[int, int]:
+    """dims of H~^d(delta; k) for d >= -1, nonzero entries only.
 
-    The cochains of delta vanishing on sub form a subcomplex C(delta, sub)
-    with the same signs, and the image of H~^d(delta, sub) in H~^d(delta)
-    is the kernel of the restriction; the coboundaries of delta into sub's
-    d-faces are those of sub, so
-
-        rank = |sub_d| - rk d_sub^{d-1} - rk d_delta^d + rk d_(delta,sub)^d,
-
-    with d_(delta,sub) the coboundary of delta on the d-faces outside sub:
-    three sparse ranks, the last on a subset of the rows of the second.
+    Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.  Otherwise
+    the dims are those of H^d(delta, st v) (the star lemma above), with v
+    a vertex in the most facets and the lowest of those on ties.
     """
-    big, small = delta.faces_by_card(), sub.faces_by_card()
-
-    def level(levels: list, c: int) -> list:
-        return levels[c] if 0 <= c < len(levels) else []
-
-    c = d + 1  # d-faces have d + 1 vertices
-    faces, in_sub = level(big, c), set(level(small, c))
-    up = _coboundary_rows(faces, level(big, c + 1))
-    rk_sub_down = linalg.rank(_coboundary_rows(level(small, c - 1), level(small, c)), field)
-    rk_rel = linalg.rank([row for f, row in zip(faces, up) if f not in in_sub], field)
-    return len(in_sub) - rk_sub_down - linalg.rank(up, field) + rk_rel
+    if delta.is_empty:
+        return {-1: 1}
+    if delta.is_void:
+        return {}
+    counts = [0] * delta.n
+    for f in delta.facets:
+        while f:
+            low = f & -f
+            counts[low.bit_length() - 1] += 1
+            f ^= low
+    v = 1 << counts.index(max(counts))
+    # st v has the facets holding v; the facets missing v lie outside it
+    return relative_cohomology(
+        [f for f in delta.facets if not f & v], [f for f in delta.facets if f & v], field
+    )
 
 
 def hochster_table(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int], int]:

@@ -10,10 +10,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from svtlab import linalg
-from svtlab.cech import EngineLimits, GradedComplex, build_graded_complex
+from svtlab.cech import (
+    EngineLimits,
+    GradedComplex,
+    _dowker_complex,
+    _generator_facets,
+    build_graded_complex,
+)
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, bits, popcount
-from svtlab.simplicial import SimplicialComplex, complex_from_ideal, link
+from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
 
 
 def monomial_in_ideal(I: SquareFreeIdeal, support: int) -> bool:
@@ -181,23 +187,43 @@ def hochster_table_all_faces(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
     cone test and no restriction to intersections of facets."""
     delta = complex_from_ideal(I)
     table = {}
-    for face in sorted(f for level in delta.faces_by_card() for f in level):
+    for face in sorted(f for level in faces_by_card(delta) for f in level):
         lk = link(delta, face)
         for d, h in reduced_cohomology_by_elimination(lk, field).items():
             table[(d + popcount(face) + 1, face)] = h
     return table
 
 
+def faces_by_card(delta: SimplicialComplex) -> list:
+    """faces_by_card(delta)[c] is the sorted list of faces with c vertices.
+
+    Every face is a submask of a facet, so one submask walk per facet
+    finds them all; VOID has no cardinality levels at all.
+    """
+    if delta.is_void:
+        return []
+    faces = set()
+    for f in delta.facets:
+        sub = f
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    levels = [[0]] + [[] for _ in range(delta.dim() + 1)]
+    for face in sorted(faces):
+        levels[popcount(face)].append(face)
+    return levels
+
+
 def reduced_euler_characteristic(delta: SimplicialComplex) -> int:
     """sum over nonempty-and-empty faces of (-1)^(|F|-1); VOID gives 0."""
     return sum(
-        (-1) ** (c - 1) * len(level) for c, level in enumerate(delta.faces_by_card())
+        (-1) ** (c - 1) * len(level) for c, level in enumerate(faces_by_card(delta))
     )
 
 
 def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(0)) -> dict:
     """d -> dim H~^d(delta), nonzero only, from the rank of every coboundary."""
-    levels = delta.faces_by_card()
+    levels = faces_by_card(delta)
     ranks = [0] * (len(levels) + 1)
     for c in range(len(levels) - 1):
         col = {g: j for j, g in enumerate(levels[c + 1])}
@@ -217,6 +243,76 @@ def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(
         if h:
             dims[c - 1] = h
     return dims
+
+
+def relative_cohomology_by_elimination(
+    delta: SimplicialComplex, sub: SimplicialComplex, field=FieldSpec(0)
+) -> dict:
+    """d -> dim H^d(delta, sub), nonzero only, sub holding the empty face.
+
+    Every face of delta is enumerated and tested against sub, and each
+    coboundary between the faces outside sub is a dense matrix ranked by
+    dense elimination."""
+    levels = [[f for f in level if not sub.contains(f)] for level in faces_by_card(delta)]
+    ranks = [0] * (len(levels) + 1)
+    for c in range(len(levels) - 1):
+        matrix = [
+            [(-1) ** popcount(f & ((g ^ f) - 1)) if f & g == f else 0 for g in levels[c + 1]]
+            for f in levels[c]
+        ]
+        ranks[c] = dense_rank(matrix, field)
+    dims = {}
+    for c, level in enumerate(levels):
+        h = len(level) - ranks[c] - ranks[c - 1]
+        if h:
+            dims[c - 1] = h
+    return dims
+
+
+def restriction_rank(
+    delta: SimplicialComplex, sub: SimplicialComplex, d: int, field: FieldSpec
+) -> int:
+    """Rank of the restriction H~^d(delta) -> H~^d(sub), sub a subcomplex of delta.
+
+    The cochains of delta vanishing on sub form a subcomplex C(delta, sub)
+    with the same signs, and the image of H~^d(delta, sub) in H~^d(delta)
+    is the kernel of the restriction; the coboundaries of delta into sub's
+    d-faces are those of sub, so
+
+        rank = |sub_d| - rk d_sub^{d-1} - rk d_delta^d + rk d_(delta,sub)^d,
+
+    with d_(delta,sub) the coboundary of delta on the d-faces outside sub:
+    three sparse ranks, the last on a subset of the rows of the second.
+    """
+    big, small = faces_by_card(delta), faces_by_card(sub)
+
+    def level(levels: list, c: int) -> list:
+        return levels[c] if 0 <= c < len(levels) else []
+
+    c = d + 1  # d-faces have d + 1 vertices
+    faces, in_sub = level(big, c), set(level(small, c))
+    up = _coboundary_rows(faces, level(big, c + 1))
+    rk_sub_down = linalg.rank(_coboundary_rows(level(small, c - 1), level(small, c)), field)
+    rk_rel = linalg.rank([row for f, row in zip(faces, up) if f not in in_sub], field)
+    return len(in_sub) - rk_sub_down - linalg.rank(up, field) + rk_rel
+
+
+def multiplication_rank_by_three_ranks(
+    I: SquareFreeIdeal, i: int, variable: int, pattern: int, field=FieldSpec(0)
+) -> int:
+    """Rank of x_j: H^i_I(S)_N -> H^i_I(S)_{N minus j} as restriction_rank's.
+
+    The restriction between the Dowker complexes of the two patterns, both
+    built on the side N selects, ranked from the two complexes alone with
+    no dimension read from a table; it reaches ideals with far too many
+    generators for the 2^r Cech oracle."""
+    target = pattern & ~(1 << variable)
+    if not target or not 0 <= i <= I.r:
+        return 0
+    facets = _generator_facets(I)
+    delta = _dowker_complex(I, facets(pattern), pattern, pattern)
+    sub = _dowker_complex(I, facets(target), target, pattern)
+    return restriction_rank(delta, sub, i - 2, field)
 
 
 def dense_rank(matrix, field=FieldSpec(0)) -> int:

@@ -1,11 +1,17 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import context_of, fixture_path, proper_ideals
-from oracles import cech_table_dims, localized_piece_dim, multiplication_rank_by_cocycles
+from oracles import (
+    cech_table_dims,
+    localized_piece_dim,
+    multiplication_rank_by_cocycles,
+    multiplication_rank_by_three_ranks,
+)
 
 from svtlab import cech, simplicial
 from svtlab.analysis import grade_check, hlv_check
@@ -417,6 +423,11 @@ class TestMultiplicationAgainstOracles:
     # complexes on the generators (N minus x4 alone would pick the
     # variables), and x4 on H^2 there is an isomorphism k -> k
     @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b0101, 0b1010]))
+    # (x1x2x4, x2x3x4, x2x5, x3x5, x4x5): x1 on H^3 at N = {x1..x5} maps
+    # k -> k with rank 0, so min(dim source, dim target) is not the rank
+    @example(I=SquareFreeIdeal.from_supports(
+        context_of(5), [0b01011, 0b01110, 0b10010, 0b10100, 0b11000]
+    ))
     def test_rank_equals_cocycle_oracle(self, field, I):
         n = I.context.n
         dims = cech_table_dims(I, field)
@@ -513,6 +524,24 @@ class TestMultiplicationOnTheDowkerSide:
         assert sorted(computed) == [(7, j, full, 1) for j in range(8)]
         assert table.dim(7, full) == 7
         assert all(table.dim(7, full & ~(1 << j)) == 1 for j in range(8))
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
+    @pytest.mark.parametrize("name", ["k8_edges", "subsets"])
+    def test_every_map_equals_three_rank_reference(self, field, name):
+        # r = 28 and r = 70: beyond the reach of the 2^r Cech oracle
+        if name == "subsets":
+            ctx = context_of(8)
+            I = SquareFreeIdeal.from_variable_lists(ctx, combinations(ctx.names, 4))
+        else:
+            with open(fixture_path("k8_edges.json")) as fh:
+                I = parse_ideal_document(json.load(fh))
+        table = local_cohomology_table(I, field)
+        for i in table.nonzero_rows():
+            for pattern in range(1, 1 << I.context.n):
+                for j in bits(pattern):
+                    assert multiplication_rank(table, i, j, pattern) == (
+                        multiplication_rank_by_three_ranks(I, i, j, pattern, field)
+                    )
 
     def test_nine_variables_refused_at_default_caps(self):
         # a map is read off a table, and local_cohomology_table is the one

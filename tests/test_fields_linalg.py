@@ -105,8 +105,8 @@ class TestRank:
         assert rank(sparse, field) == dense_rank(dense, field)
 
     def test_does_not_mutate_rows(self):
-        # simplicial.restriction_rank hands the same rows to two rank calls;
-        # these rows hit the scaling path over Q, cancel and reduce mod p
+        # callers may keep the rows they rank; these rows hit the scaling
+        # path over Q, cancel and reduce mod p
         rows = [{0: 2, 1: 3}, {0: 5, 1: 7}, {0: 7, 1: 10}, {0: 4, 1: 6}, {}, {2: 9}]
         snapshot = [dict(r) for r in rows]
         for field in FIELDS:

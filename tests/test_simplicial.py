@@ -4,10 +4,12 @@ from hypothesis import strategies as st
 
 from conftest import context_of, proper_ideals
 from oracles import (
+    faces_by_card,
     hochster_table_all_faces,
     quotient_local_cohomology_dim,
     reduced_cohomology_by_elimination,
     reduced_euler_characteristic,
+    relative_cohomology_by_elimination,
 )
 from test_cech import projective_plane_ideal
 
@@ -23,6 +25,7 @@ from svtlab.simplicial import (
     link,
     maximal_faces,
     reduced_cohomology,
+    relative_cohomology,
 )
 
 Q = FieldSpec(0)
@@ -42,6 +45,15 @@ class TestComplexBasics:
         assert reduced_cohomology(empty, Q) == {-1: 1}
         assert reduced_euler_characteristic(void) == 0
         assert reduced_euler_characteristic(empty) == -1
+
+    def test_no_facets_is_void(self):
+        delta = SimplicialComplex(3, ())
+        assert delta == SimplicialComplex.void_complex(3)
+        assert delta.is_void and not delta.is_empty
+        assert not delta.contains(0)
+        assert reduced_cohomology(delta, Q) == {}
+        with pytest.raises(ValueError, match="no dimension"):
+            delta.dim()
 
     def test_from_maximal_ideal(self):
         ctx = context_of(2)
@@ -238,7 +250,7 @@ class TestSkippedLinks:
     def test_one_rank_per_distinct_relabelled_link(self, field, monkeypatch):
         I = projective_plane_ideal()
         delta = complex_from_ideal(I)
-        faces = [f for level in delta.faces_by_card() for f in level]
+        faces = [f for level in faces_by_card(delta) for f in level]
         # every face of RP^2 is an intersection of facets, so all 32 are
         # visited; their links, with vertices renamed 0..k-1 in order
         distinct = set()
@@ -329,3 +341,45 @@ class TestStarLemma:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("one face needs no rank"))
             assert reduced_cohomology(_simplex_boundary(n), Q) == {n - 2: 1}
+
+
+@st.composite
+def pairs(draw, max_n=7):
+    """(K, L) with K on at most max_n vertices and L a subcomplex holding
+    the empty face: some facets of K, K induced on a vertex subset, or
+    faces of some facets of K."""
+    n = draw(st.integers(1, max_n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    delta = SimplicialComplex(n, maximal_faces(masks))
+    chosen = draw(st.lists(st.sampled_from(delta.facets), min_size=1))
+    kind = draw(st.sampled_from(["facets", "induced", "faces"]))
+    if kind == "induced":
+        vertices = draw(st.integers(0, (1 << n) - 1))
+        inside = [f & vertices for f in delta.facets]
+    elif kind == "faces":
+        inside = [f & draw(st.integers(0, (1 << n) - 1)) for f in chosen]
+    else:
+        inside = chosen
+    return delta, SimplicialComplex(n, maximal_faces(inside))
+
+
+def _star(delta, v):
+    return SimplicialComplex(delta.n, tuple(f for f in delta.facets if f >> v & 1))
+
+
+class TestRelativeKernel:
+    """H^d(K, L) against dense elimination on every face of K outside L."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(pairs())
+    @settings(max_examples=150, deadline=None)
+    @example(pair=(_RP2, _RP2))  # L = K: no faces outside L
+    @example(pair=(_RP2, SimplicialComplex.empty_complex(6)))  # L = EMPTY: H^d(K)
+    @example(pair=(_RP2, _star(_RP2, 0)))  # L = st v: H~^d(K) again
+    @example(pair=(_simplex_boundary(4), SimplicialComplex.empty_complex(4)))
+    def test_equals_elimination_outside_the_subcomplex(self, field, pair):
+        delta, sub = pair
+        outside = [f for f in delta.facets if not sub.contains(f)]
+        assert relative_cohomology(outside, sub.facets, field) == (
+            relative_cohomology_by_elimination(delta, sub, field)
+        )
