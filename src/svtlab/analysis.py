@@ -6,7 +6,9 @@ are differential-testing sentinels that must return True on every input,
 and the sweep hammers the vanishing equivalence on seeded random ideals.
 svt_check, hlv_check and grade_check read the ideal and field off a table,
 which passed the variable cap when it was made; mayer_vietoris_check and
-the sweep make their own tables under the limits they are given.
+the sweep make their own tables under the limits they are given.  Reports
+serialize themselves (ideals through SquareFreeIdeal.to_json); whether a
+table came from the cache is for the CLI to add.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ class Hypothesis:
     vacuous: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "evidence": self.evidence,
-            "model_level": self.model_level,
-            "vacuous": self.vacuous,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -61,19 +57,14 @@ class AnalysisReport:
     depth: int
     table: CohomologyTable
     timings: Dict[str, float] = dc_field(default_factory=dict)
-    cache_state: str = "off"
 
     @property
     def agreement(self) -> bool:
         return self.vanishing_top_minus_one == (self.connected and self.dim_quotient >= 2)
 
     def to_json(self) -> dict:
-        ideal = self.table.ideal
         return {
-            "ideal": {
-                "variables": list(ideal.context.names),
-                "generators": ideal.generator_lists(),
-            },
+            "ideal": self.table.ideal.to_json(),
             "field": self.table.field.label(),
             "hypotheses": [h.to_json() for h in self.hypotheses],
             "verdicts": {
@@ -87,7 +78,6 @@ class AnalysisReport:
                 "height": self.height,
             },
             "table": self.table.entries(),
-            "cache": self.cache_state,
             "timings": self.timings,
         }
 
@@ -131,8 +121,8 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
 
     t0 = time.monotonic()
     connected = graphs.punctured_spectrum_connected(I)
-    ht = min(p.height for p in primes)
-    dim_q = n - ht
+    ht = height(I)
+    dim_q = dim_quotient(I)
     timings["combinatorics"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -241,16 +231,7 @@ class SweepSummary:
     first_counterexample: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "generator_bound": self.generator_bound,
-            "field": self.field,
-            "agreements": self.agreements,
-            "failures": self.failures,
-            "first_counterexample": self.first_counterexample,
-        }
+        return dict(vars(self))
 
 
 def random_svt_sweep(
@@ -266,6 +247,10 @@ def random_svt_sweep(
     Asserting side: H^{n-1}_I(S) = 0 iff (dim(S/I) >= 2 and the punctured
     spectrum is connected); each side computed by an independent module.
     """
+    if trials < 0:
+        raise ValueError(f"the number of trials must be at least 0, not {trials}")
+    if generator_bound < 1:
+        raise ValueError(f"the generator bound must be at least 1, not {generator_bound}")
     context = VariableContext(tuple(f"x{i + 1}" for i in range(n)))
     rng = random.Random(seed)
     summary = SweepSummary(
@@ -278,17 +263,17 @@ def random_svt_sweep(
     for _ in range(trials):
         I = random_square_free_ideal(context, rng, generator_bound)
         vanish = cech.is_vanishing(I, n - 1, field, limits)
-        rhs = dim_quotient(I) >= 2 and graphs.punctured_spectrum_connected(I)
-        if vanish == rhs:
+        dim = dim_quotient(I)
+        connected = graphs.punctured_spectrum_connected(I)
+        if vanish == (dim >= 2 and connected):
             summary.agreements += 1
         else:
             summary.failures += 1
             if summary.first_counterexample is None:
                 summary.first_counterexample = {
-                    "variables": list(context.names),
-                    "generators": I.generator_lists(),
+                    **I.to_json(),
                     "vanishing": vanish,
-                    "dim_quotient": dim_quotient(I),
-                    "connected": graphs.punctured_spectrum_connected(I),
+                    "dim_quotient": dim,
+                    "connected": connected,
                 }
     return summary

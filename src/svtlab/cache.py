@@ -1,11 +1,12 @@
 """Content-addressed cache for cohomology tables.
 
-Keys hash the canonical ideal data plus the field and engine version, so
-permuting generators in the input still hits, while a different prime
-field or engine release misses.  Writes are atomic (temp file + rename).
-An entry is checked before it is trusted: one that is not a JSON object,
-or holds a degree, pattern or dimension no table can have, is evicted and
-counts as a miss.
+Keys hash the variables, the sorted generators and the field, so permuting
+generators in the input still hits, while a different prime field misses.
+The engine version is stamped inside each entry instead: an entry from
+another release reads as a miss, which the next store overwrites.  Writes
+are atomic (temp file + rename).  An entry is checked before it is trusted:
+one that is not a JSON object, or holds a degree, pattern or dimension no
+table can have, is evicted and counts as a miss.
 """
 
 from __future__ import annotations

@@ -78,17 +78,6 @@ def load_ideal(path: str) -> SquareFreeIdeal:
     return parse_ideal_document(doc)
 
 
-def ideal_echo(I: SquareFreeIdeal) -> dict:
-    return {
-        "variables": list(I.context.names),
-        "generators": I.generator_lists(),
-    }
-
-
-def _limits_from_args(args) -> EngineLimits:
-    return EngineLimits(max_vars=args.max_vars)
-
-
 def _emit(payload: dict, args):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "output", None):
@@ -98,8 +87,11 @@ def _emit(payload: dict, args):
         print(text)
 
 
-def _table_with_cache(I, field, limits, args):
-    """(table, cache_state) honoring --no-cache and the cache directory."""
+def _table(I: SquareFreeIdeal, args):
+    """(table, cache state) of I over --field under --max-vars, honoring
+    --no-cache and the cache directory."""
+    field = FieldSpec.parse(args.field)
+    limits = EngineLimits(max_vars=args.max_vars)
     if args.no_cache:
         return cech.local_cohomology_table(I, field, limits), "off"
     limits.check(I)  # a cached table must not bypass the variable cap
@@ -113,13 +105,9 @@ def _table_with_cache(I, field, limits, args):
 
 
 def cmd_analyze(args) -> int:
-    I = load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    limits = _limits_from_args(args)
-    table, state = _table_with_cache(I, field, limits, args)
-    report = analysis.svt_check(table)
-    report.cache_state = state
-    payload = report.to_json()
+    table, state = _table(load_ideal(args.input), args)
+    payload = analysis.svt_check(table).to_json()
+    payload["cache"] = state
     payload["sentinels"] = {
         "hlv": analysis.hlv_check(table),
         "grade": analysis.grade_check(table),
@@ -131,14 +119,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    I = load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    limits = _limits_from_args(args)
-    table, state = _table_with_cache(I, field, limits, args)
+    table, state = _table(load_ideal(args.input), args)
     _emit(
         {
-            "ideal": ideal_echo(I),
-            "field": field.label(),
+            "ideal": table.ideal.to_json(),
+            "field": table.field.label(),
             "cache": state,
             "table": table.entries(),
         },
@@ -148,13 +133,9 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_svt(args) -> int:
-    I = load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    limits = _limits_from_args(args)
-    table, state = _table_with_cache(I, field, limits, args)
-    report = analysis.svt_check(table)
-    report.cache_state = state
-    payload = report.to_json()
+    table, state = _table(load_ideal(args.input), args)
+    payload = analysis.svt_check(table).to_json()
+    payload["cache"] = state
     del payload["table"]
     _emit(payload, args)
     return EXIT_OK
@@ -162,7 +143,7 @@ def cmd_svt(args) -> int:
 
 def cmd_graph(args) -> int:
     I = load_ideal(args.input)
-    _limits_from_args(args).check(I)
+    EngineLimits(max_vars=args.max_vars).check(I)
     G = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
     dot = graphs.to_dot(G)
     if args.dot:
@@ -170,7 +151,7 @@ def cmd_graph(args) -> int:
             fh.write(dot)
     _emit(
         {
-            "ideal": ideal_echo(I),
+            "ideal": I.to_json(),
             "kind": G.kind,
             "vertices": [p.label() for p in G.vertices],
             "edges": sorted([list(e) for e in G.edges]),
@@ -183,13 +164,11 @@ def cmd_graph(args) -> int:
 
 def cmd_surjectivity(args) -> int:
     I = load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    limits = _limits_from_args(args)
     names = [s for s in args.monomial.split(",") if s]
     if not names:
         raise InputError("--monomial needs at least one variable name")
-    x = SquareFreeMonomial.from_names(I.context, names)
-    table, state = _table_with_cache(I, field, limits, args)
+    x = SquareFreeMonomial.from_names(I.context, names)  # before any table is made
+    table, state = _table(I, args)
     surjective = cech.is_multiplication_surjective(table, args.degree, x)
     # divisible iff every variable is onto: those of x were just checked
     rest = SquareFreeMonomial(I.context, I.context.full_mask & ~x.support)
@@ -198,8 +177,8 @@ def cmd_surjectivity(args) -> int:
     )
     _emit(
         {
-            "ideal": ideal_echo(I),
-            "field": field.label(),
+            "ideal": table.ideal.to_json(),
+            "field": table.field.label(),
             "cache": state,
             "degree": args.degree,
             "monomial": list(names),
@@ -215,12 +194,11 @@ def cmd_mv(args) -> int:
     I = load_ideal(args.input)
     J = load_ideal(args.second)
     field = FieldSpec.parse(args.field)
-    limits = _limits_from_args(args)
-    ok = analysis.mayer_vietoris_check(I, J, field, limits)
+    ok = analysis.mayer_vietoris_check(I, J, field, EngineLimits(max_vars=args.max_vars))
     _emit(
         {
-            "first": ideal_echo(I),
-            "second": ideal_echo(J),
+            "first": I.to_json(),
+            "second": J.to_json(),
             "field": field.label(),
             "mayer_vietoris_consistent": ok,
         },
@@ -230,8 +208,7 @@ def cmd_mv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    field = FieldSpec.parse(args.field)
-    limits = _limits_from_args(args)
+    field, limits = FieldSpec.parse(args.field), EngineLimits(max_vars=args.max_vars)
     summary = analysis.random_svt_sweep(
         args.vars, args.generator_bound, args.trials, args.seed, field, limits
     )

@@ -194,6 +194,9 @@ class SquareFreeIdeal:
     def generator_lists(self) -> list:
         return [list(self.context.names_of(g)) for g in self.generators]
 
+    def to_json(self) -> dict:
+        return {"variables": list(self.context.names), "generators": self.generator_lists()}
+
     def __str__(self):
         if self.is_zero:
             return "(0)"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import hochster_table_all_faces
 
+from svtlab import cech, graphs
 from svtlab.cech import EngineLimits, local_cohomology_table
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
@@ -194,6 +195,33 @@ class TestSweep:
         a = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5).to_json()
         b = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5).to_json()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "bound, trials, named",
+        [(3, -5, "-5"), (0, 5, "0"), (-2, 0, "-2")],
+        ids=["negative-trials", "zero-bound", "negative-bound"],
+    )
+    def test_impossible_counts_are_refused(self, bound, trials, named):
+        with pytest.raises(ValueError, match=named):
+            random_svt_sweep(n=4, generator_bound=bound, trials=trials, seed=1)
+
+    def test_zero_trials_is_an_empty_sweep(self):
+        summary = random_svt_sweep(n=4, generator_bound=3, trials=0, seed=1)
+        assert (summary.agreements, summary.failures) == (0, 0)
+
+    def test_counterexample_reports_what_was_decided(self, monkeypatch):
+        real = cech.is_vanishing
+        monkeypatch.setattr(cech, "is_vanishing", lambda *a: not real(*a))
+        summary = random_svt_sweep(n=4, generator_bound=3, trials=3, seed=2)
+        assert summary.failures == 3
+        cex = summary.first_counterexample
+        ctx = context_of(4)
+        I = SquareFreeIdeal.from_variable_lists(ctx, cex["generators"])
+        assert cex["variables"] == list(ctx.names)
+        assert cex["dim_quotient"] == dim_quotient(I)
+        assert cex["connected"] == graphs.punctured_spectrum_connected(I)
+        assert cex["vanishing"] is not real(I, 3, Q, EngineLimits())
+        assert summary.to_json()["first_counterexample"] == cex
 
 
 FIXTURES = [

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 from svtlab import cech, ideals
 from svtlab.cli import main, parse_ideal_document
@@ -237,6 +238,44 @@ class TestCommands:
         assert doc["table"] == [{"dim": 1, "i": 2, "pattern": ["x1", "x2"]}]
 
 
+FIXTURE_NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
+
+
+class TestCrossCommand:
+    """Every command reports the same ideal, field and table for one input."""
+
+    @pytest.mark.parametrize("field", ["rationals", "2"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_commands_agree(self, capsys, name, field):
+        src = fixture_path(name)
+        with open(src) as fh:
+            names = json.load(fh)["variables"]
+
+        def run(*argv):
+            code, out, err = invoke(capsys, *argv, "--input", src, "--max-vars", str(len(names)))
+            assert code == 0 and err == "", err
+            return json.loads(out)
+
+        analyze = run("analyze", "--field", field, "--no-cache")
+        svt = run("svt", "--field", field, "--no-cache")
+        cohomology = run("cohomology", "--field", field, "--no-cache")
+        graph = run("graph", "--kind", "theta")  # graph builds no table, so takes no field
+        surjectivity = run(
+            "surjectivity", "--degree", "0", "--monomial", names[0], "--field", field, "--no-cache"
+        )
+        mv = run("mv", "--second", src, "--field", field)
+
+        without = {k: v for k, v in analyze.items() if k not in ("table", "sentinels", "timings")}
+        assert {k: v for k, v in svt.items() if k != "timings"} == without
+        for key in ("ideal", "field", "table"):
+            assert cohomology[key] == analyze[key]
+        for doc in (graph, surjectivity):
+            assert doc["ideal"] == analyze["ideal"]
+        assert mv["first"] == mv["second"] == analyze["ideal"]
+        for doc in (analyze, svt, cohomology, surjectivity):
+            assert doc["cache"] == "off"
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "analyze", "--input", "/nonexistent.json", "--no-cache")
@@ -358,6 +397,17 @@ class TestExitCodes:
         )
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "input_error"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--trials", "-5"], "-5"), (["--trials", "5", "--generator-bound", "0"], "0")],
+        ids=["negative-trials", "zero-generator-bound"],
+    )
+    def test_sweep_refuses_impossible_counts(self, capsys, flags, named):
+        code, out, err = invoke(capsys, "sweep", "--vars", "3", "--seed", "1", *flags)
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "input_error" and named in doc["message"]
 
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "analyze", "--bogus")
