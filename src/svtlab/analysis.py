@@ -251,7 +251,11 @@ def random_svt_sweep(
         raise ValueError(f"the number of trials must be at least 0, not {trials}")
     if generator_bound < 1:
         raise ValueError(f"the generator bound must be at least 1, not {generator_bound}")
+    # the ring is checked before any trial, so zero trials refuse it too
+    if n < 3:
+        raise ValueError(f"a sweep needs at least 3 variables, not {n}")
     context = VariableContext(tuple(f"x{i + 1}" for i in range(n)))
+    limits.check(context)
     rng = random.Random(seed)
     summary = SweepSummary(
         n=n,

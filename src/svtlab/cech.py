@@ -17,22 +17,22 @@ exact sequence against the (acyclic) full simplex gives
     H^i_I(S)_N = H~^{i-2}({t : j not in supp(f_t)}, j in N),
 
 which is Mustata's formula (G. Mustata, "Local cohomology at monomial
-ideals", J. Symbolic Comput. 29, 2000) read on the generator side.  By
+ideals", J. Symbolic Comput. 29, 2000) read on the generators.  By
 Dowker's theorem (C. H. Dowker, "Homology groups of relations", Ann. of
-Math. 56, 1952) the complex on N with facets N \\ supp(f_t), built from
-the same relation "j misses supp(f_t)", has the same cohomology, so
-local_cohomology_table computes each class once, on whichever side has
-fewer vertices, with simplicial.reduced_cohomology.  Patterns with equal
-generator-side facets share one computation through a memo local to the
-table call.  Ranks are taken exactly (integer elimination over Q, or
-mod p).
+Math. 56, 1952) the complex K_N on the variables of N with facets
+N \\ supp(f_t), built from the same relation "j misses supp(f_t)", has the
+same cohomology.  local_cohomology_table computes every class on K_N
+with simplicial.reduced_cohomology, and keys its memo by the
+generator-side facets: patterns that share them share their cohomology,
+so each class is computed once per table call.  Ranks are taken exactly
+(integer elimination over Q, or mod p).
 
-Multiplication by x_j sends pattern N to N \\ {j}.  On either side the
-complex L = K_{N \\ {j}} is a subcomplex of K = K_N (fewer facets on the
-generators, an induced subcomplex on the variables), and x_j is the
-restriction H~^{i-2}(K) -> H~^{i-2}(L).  multiplication_rank builds both
-on the side N selects, takes h = H^*(K, L) from
-simplicial.relative_cohomology, and reads the rank off the exact sequence
+Multiplication by x_j sends pattern N to N \\ {j}.  L = K_{N \\ {j}} is the
+subcomplex of K = K_N induced on N \\ {j}, and x_j is the restriction
+H~^{i-2}(K) -> H~^{i-2}(L).  The faces of K outside L are those holding
+j, so multiplication_rank passes the facets of K that hold j and the
+facets of L to simplicial.relative_cohomology for h = H^*(K, L), and reads
+the rank off the exact sequence
 H^e(K, L) -> H~^e(K) -> H~^e(L) -> H^{e+1}(K, L), e = k - 2, with the
 cohomology dimensions T(k, N) read from the table: rk_0 = 0 and, for
 k = 1..i,
@@ -52,7 +52,7 @@ pattern, are kept only as the tests' Cech oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import simplicial
 from .fields import FieldSpec
@@ -60,6 +60,7 @@ from .ideals import (
     CapExceededError,
     SquareFreeIdeal,
     SquareFreeMonomial,
+    VariableContext,
     bits,
     popcount,
 )
@@ -69,18 +70,18 @@ from .ideals import (
 class EngineLimits:
     """The engine's one resource guard, the number of variables.
 
-    A pattern's Dowker complex lives on min(r, |N|) <= n vertices, so
-    max_vars bounds the faces any one computation visits.  The generator
-    count needs no cap of its own: minimized generators form an antichain,
-    so by Sperner's theorem r <= C(n, n // 2), which is 70 at n = 8.
+    A pattern's complex K_N lives on |N| <= n vertices, so max_vars bounds
+    the faces any one computation visits.  The generator count needs no
+    cap of its own: minimized generators form an antichain, so by
+    Sperner's theorem r <= C(n, n // 2), which is 70 at n = 8.
     """
 
     max_vars: int = 8
 
-    def check(self, I: SquareFreeIdeal):
-        if I.context.n > self.max_vars:
+    def check(self, context: VariableContext):
+        if context.n > self.max_vars:
             raise CapExceededError(
-                f"{I.context.n} variables exceeds the engine cap {self.max_vars}"
+                f"{context.n} variables exceeds the engine cap {self.max_vars}"
                 " (raise max_vars to override)"
             )
 
@@ -121,7 +122,7 @@ class GradedComplex:
 def build_graded_complex(
     I: SquareFreeIdeal, pattern: int, limits: EngineLimits = DEFAULT_LIMITS
 ) -> GradedComplex:
-    limits.check(I)
+    limits.check(I.context)
     supports = I.generators
     r = len(supports)
     unions = {0: 0}
@@ -183,13 +184,17 @@ def local_cohomology_table(
     Patterns that are zero for every i are skipped without building a
     complex: N = {} (the Cech complex is the augmented full simplex),
     N not contained in the union of the supports (no active terms), and N
-    disjoint from some generator's support (that generator is a cone point
-    of the generator-side complex).
+    disjoint from some generator's support (K_N is then the full simplex
+    on N).
     """
     if not I.is_proper or I.is_zero:
         raise ValueError("local cohomology table needs a proper nonzero ideal")
-    limits.check(I)
-    generator_facets = _generator_facets(I)
+    limits.check(I.context)
+    # misses[j]: the generators whose support does not contain variable j
+    misses = [
+        sum(1 << t for t, g in enumerate(I.generators) if not g >> j & 1)
+        for j in range(I.context.n)
+    ]
     union = I.support_union()
     memo: Dict[tuple, Dict[int, int]] = {}  # generator-side facets -> H~^*
     dims: Dict[Tuple[int, int], int] = {}
@@ -201,41 +206,19 @@ def local_cohomology_table(
     for pattern in sorted(patterns):
         if any(not g & pattern for g in I.generators):
             continue
-        facets = generator_facets(pattern)
-        coh = memo.get(facets)
+        key = simplicial.maximal_faces(misses[j] for j in bits(pattern))
+        coh = memo.get(key)
         if coh is None:
-            delta = _dowker_complex(I, facets, pattern, pattern)
-            coh = memo[facets] = simplicial.reduced_cohomology(delta, field)
+            delta = simplicial.SimplicialComplex._trusted(I.context.n, _facets(I, pattern))
+            coh = memo[key] = simplicial.reduced_cohomology(delta, field)
         for d, h in coh.items():
             dims[(d + 2, pattern)] = h
     return CohomologyTable(I, field, dims)
 
 
-def _generator_facets(I: SquareFreeIdeal) -> Callable[[int], tuple]:
-    """N -> the facets {t : j not in supp(f_t)}, j in N, of the generator side."""
-    # misses[j]: the generators whose support does not contain variable j
-    misses = [
-        sum(1 << t for t, g in enumerate(I.generators) if not g >> j & 1)
-        for j in range(I.context.n)
-    ]
-    return lambda pattern: simplicial.maximal_faces(misses[j] for j in bits(pattern))
-
-
-def _dowker_complex(
-    I: SquareFreeIdeal, facets: tuple, pattern: int, side: int
-) -> simplicial.SimplicialComplex:
-    """The complex of pattern N with H~^{i-2} = H^i_I(S)_N, N nonempty.
-
-    `facets` are N's generator-side facets.  The complex is on the
-    generators when r <= |side|, else on the variables (facets N minus
-    supp(f_t)); both sides have the same cohomology (Dowker), and the table
-    takes side = N, the one with fewer vertices.  On either side the
-    complex of a subset of N is a subcomplex.
-    """
-    if I.r <= popcount(side):
-        return simplicial.SimplicialComplex(I.r, facets)
-    vertex_facets = simplicial.maximal_faces(pattern & ~g for g in I.generators)
-    return simplicial.SimplicialComplex(I.context.n, vertex_facets)
+def _facets(I: SquareFreeIdeal, pattern: int) -> tuple:
+    """The facets N \\ supp(f_t) of K_N, sorted and irredundant."""
+    return simplicial.maximal_faces(pattern & ~g for g in I.generators)
 
 
 def is_vanishing(
@@ -274,10 +257,10 @@ def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: 
 
     Patterns with j outside N change nothing under x_j and are
     isomorphisms, so only these comparison maps are computed.  The map is
-    the restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}) between the
-    Dowker complexes of the two patterns, both on the side N selects, and
-    its rank follows from the pair's exact sequence (module docstring).
-    The target is 0 when N \\ {j} is empty, and so is the rank.
+    the restriction H~^{i-2}(K_N) -> H~^{i-2}(K_{N \\ {j}}) to the induced
+    subcomplex, and its rank follows from the pair's exact sequence
+    (module docstring).  The target is 0 when N \\ {j} is empty, and so is
+    the rank.
     """
     I = table.ideal
     b = 1 << variable
@@ -288,11 +271,9 @@ def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: 
     target = pattern & ~b
     if not target:
         return 0
-    generator_facets = _generator_facets(I)
-    delta = _dowker_complex(I, generator_facets(pattern), pattern, pattern)
-    sub = _dowker_complex(I, generator_facets(target), target, pattern)
-    outside = [f for f in delta.facets if not sub.contains(f)]
-    h = simplicial.relative_cohomology(outside, sub.facets, table.field)
+    # the faces of K_N outside K_{N \ {j}} are those holding j
+    outside = [f for f in _facets(I, pattern) if f & b]
+    h = simplicial.relative_cohomology(outside, _facets(I, target), table.field)
     rank = 0
     for k in range(1, i + 1):
         rank = table.dim(k, pattern) - h.get(k - 2, 0) + table.dim(k - 1, target) - rank

@@ -94,7 +94,7 @@ def _table(I: SquareFreeIdeal, args):
     limits = EngineLimits(max_vars=args.max_vars)
     if args.no_cache:
         return cech.local_cohomology_table(I, field, limits), "off"
-    limits.check(I)  # a cached table must not bypass the variable cap
+    limits.check(I.context)  # a cached table must not bypass the variable cap
     cache_dir = args.cache_dir or cache.default_cache_dir()
     hit = cache.lookup(cache_dir, I, field)
     if hit is not None:
@@ -143,7 +143,7 @@ def cmd_svt(args) -> int:
 
 def cmd_graph(args) -> int:
     I = load_ideal(args.input)
-    EngineLimits(max_vars=args.max_vars).check(I)
+    EngineLimits(max_vars=args.max_vars).check(I.context)
     G = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
     dot = graphs.to_dot(G)
     if args.dot:

@@ -7,8 +7,8 @@ fields are available for speed and for characteristic experiments.
 A FieldSpec only selects and labels the field: it has no element
 arithmetic, because every quantity svtlab computes is a count of terms
 plus and minus ranks of sparse integer matrices.  That includes the rank
-of multiplication by x_j on H^i: it is the restriction from the Dowker
-complex of the source pattern to its subcomplex for the target, so its
+of multiplication by x_j on H^i: it is the restriction from the complex
+of the source pattern to its induced subcomplex on the target, so its
 rank follows from the relative cohomology of the pair and the table by
 exactness (cech states the recurrence).  linalg takes every rank with one
 sparse elimination: fraction-free on integers over Q, on native ints mod

@@ -10,13 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from svtlab import linalg
-from svtlab.cech import (
-    EngineLimits,
-    GradedComplex,
-    _dowker_complex,
-    _generator_facets,
-    build_graded_complex,
-)
+from svtlab.cech import EngineLimits, GradedComplex, build_graded_complex
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, bits, popcount
 from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
@@ -302,17 +296,23 @@ def multiplication_rank_by_three_ranks(
 ) -> int:
     """Rank of x_j: H^i_I(S)_N -> H^i_I(S)_{N minus j} as restriction_rank's.
 
-    The restriction between the Dowker complexes of the two patterns, both
-    built on the side N selects, ranked from the two complexes alone with
-    no dimension read from a table; it reaches ideals with far too many
-    generators for the 2^r Cech oracle."""
+    The restriction between the complexes of the two patterns on the
+    variables (facets N minus supp(f_t), by Dowker's theorem), ranked from
+    the two complexes alone with no dimension read from a table; it
+    reaches ideals with far too many generators for the 2^r Cech oracle."""
     target = pattern & ~(1 << variable)
     if not target or not 0 <= i <= I.r:
         return 0
-    facets = _generator_facets(I)
-    delta = _dowker_complex(I, facets(pattern), pattern, pattern)
-    sub = _dowker_complex(I, facets(target), target, pattern)
+    delta, sub = (_variable_complex(I, N) for N in (pattern, target))
     return restriction_rank(delta, sub, i - 2, field)
+
+
+def _variable_complex(I: SquareFreeIdeal, pattern: int) -> SimplicialComplex:
+    """The complex on the variables with facets the maximal N minus supp(f_t)."""
+    faces = {pattern & ~g for g in I.generators}
+    return SimplicialComplex(
+        I.context.n, [f for f in faces if not any(f != g and f & g == f for g in faces)]
+    )
 
 
 def dense_rank(matrix, field=FieldSpec(0)) -> int:

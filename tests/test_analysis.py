@@ -11,7 +11,13 @@ from svtlab import cech, graphs
 from svtlab.cech import EngineLimits, local_cohomology_table
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, VariableContext, dim_quotient, minimal_primes
+from svtlab.ideals import (
+    CapExceededError,
+    SquareFreeIdeal,
+    VariableContext,
+    dim_quotient,
+    minimal_primes,
+)
 from svtlab.simplicial import finite_length
 from svtlab.analysis import (
     grade_check,
@@ -204,6 +210,20 @@ class TestSweep:
     def test_impossible_counts_are_refused(self, bound, trials, named):
         with pytest.raises(ValueError, match=named):
             random_svt_sweep(n=4, generator_bound=bound, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_tiny_ring_refused_before_any_trial(self, n, trials):
+        with pytest.raises(ValueError, match="at least 3 variables"):
+            random_svt_sweep(n=n, generator_bound=3, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_ring_over_the_cap_refused_before_any_trial(self, trials):
+        with pytest.raises(CapExceededError):
+            random_svt_sweep(n=9, generator_bound=3, trials=trials, seed=1)
+        raised = EngineLimits(max_vars=9)
+        summary = random_svt_sweep(n=9, generator_bound=3, trials=trials, seed=1, limits=raised)
+        assert summary.agreements == trials
 
     def test_zero_trials_is_an_empty_sweep(self):
         summary = random_svt_sweep(n=4, generator_bound=3, trials=0, seed=1)

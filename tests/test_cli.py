@@ -409,6 +409,15 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["error"] == "input_error" and named in doc["message"]
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    @pytest.mark.parametrize(
+        "n, code, error", [("2", 1, "input_error"), ("12", 2, "cap_exceeded")]
+    )
+    def test_sweep_refuses_its_ring_before_any_trial(self, capsys, trials, n, code, error):
+        got, out, err = invoke(capsys, "sweep", "--vars", n, "--trials", trials, "--seed", "1")
+        assert got == code and out == ""
+        assert json.loads(err)["error"] == error
+
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "analyze", "--bogus")
         assert code == 1
