@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Analyze every shipped fixture and print one verdict line each.
 
-Exits 1 when a Hartshorne-Lichtenbaum, grade or duality sentinel fails,
-or when a fixture with dim(S/I) >= 1 reports agreement=False (for an
-m-primary ideal, dim 0, both sides of the equivalence are degenerate);
+Exits 1 when a Hartshorne-Lichtenbaum, grade, depth or duality sentinel
+fails, or when a fixture with dim(S/I) >= 1 reports agreement=False (for
+an m-primary ideal, dim 0, both sides of the equivalence are degenerate);
 else 0.  The duality sentinel checks every entry of the table against
 the Hochster table of S/I: dim H^i_I(S)_N = dim H^{n-i}_m(S/I)_{[n] - N}
 (Mustata's Ext formula with local duality), two independent engines.
+The depth sentinel (hochster_depth=) checks the report's depth, which
+depth_quotient finds by a pruned walk, against the lowest row of that
+full Hochster table.
 Each table is built with the variable cap raised to the fixture's own
 number of variables, so the nine-variable fixture is checked too.
 
@@ -31,10 +34,10 @@ FIXTURES = os.path.abspath(
 )
 
 
-def duality_holds(ideal, table, field) -> bool:
+def duality_holds(ideal, table, hochster) -> bool:
     """The table equals the Hochster table reindexed (i, N) <-> (n-i, [n] - N)."""
     n, full = ideal.context.n, ideal.context.full_mask
-    dual = {(n - i, full & ~face): d for (i, face), d in hochster_table(ideal, field).items()}
+    dual = {(n - i, full & ~face): d for (i, face), d in hochster.items()}
     return table.dims == dual
 
 
@@ -54,15 +57,18 @@ def main(argv=None) -> int:
         report = svt_check(table)
         hlv = hlv_check(table)
         grade = grade_check(table)
-        duality = duality_holds(ideal, table, field)
+        hochster = hochster_table(ideal, field)
+        duality = duality_holds(ideal, table, hochster)
+        depth = report.depth == min(i for i, _ in hochster)
         print(
             f"{name:22s} n={ideal.context.n} dim={report.dim_quotient} "
             f"depth={report.depth} cd={report.cd} q={report.q} "
             f"connected={report.connected} "
             f"H^(n-1)=0:{report.vanishing_top_minus_one} "
-            f"agreement={report.agreement} hlv={hlv} grade={grade} duality={duality}"
+            f"agreement={report.agreement} hlv={hlv} grade={grade} "
+            f"hochster_depth={depth} duality={duality}"
         )
-        if not (hlv and grade and duality) or (
+        if not (hlv and grade and depth and duality) or (
             report.dim_quotient >= 1 and not report.agreement
         ):
             failed.append(name)

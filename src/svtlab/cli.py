@@ -78,8 +78,32 @@ def load_ideal(path: str) -> SquareFreeIdeal:
     return parse_ideal_document(doc)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALAR = json.JSONEncoder().encode  # the C encoder, which json uses without an indent
+_LEAF = {str: _ESCAPE, int: int.__repr__, float: _SCALAR, type(None): lambda _: "null",
+         bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) byte for byte (string keys
+    only); json itself takes its pure-Python encoder for an indent."""
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items, ends = [_ESCAPE(k) + ": " + _dumps(value[k], inner) for k in sorted(value)], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_dumps(v, inner) for v in value], "[]"
+    else:
+        return _SCALAR(value)  # subclasses of str, int and float
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def _emit(payload: dict, args):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -120,15 +144,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_cohomology(args) -> int:
     table, state = _table(load_ideal(args.input), args)
-    _emit(
-        {
-            "ideal": table.ideal.to_json(),
-            "field": table.field.label(),
-            "cache": state,
-            "table": table.entries(),
-        },
-        args,
-    )
+    ideal, field = table.ideal.to_json(), table.field.label()
+    _emit({"ideal": ideal, "field": field, "cache": state, "table": table.entries()}, args)
     return EXIT_OK
 
 
@@ -251,20 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full analysis report of one ideal")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("cohomology", help="graded local cohomology table")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("svt", help="vanishing/connectedness verdicts only")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_svt)
+    for name, text, func in (
+        ("analyze", "full analysis report of one ideal", cmd_analyze),
+        ("cohomology", "graded local cohomology table", cmd_cohomology),
+        ("svt", "vanishing/connectedness verdicts only", cmd_svt),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("graph", help="theta or gamma connectivity graph")
     p.add_argument("--input", required=True)

@@ -1,16 +1,17 @@
 """Exact linear algebra over Q and GF(p): one sparse elimination.
 
-Matrices are stored as lists of sparse rows (dict column -> nonzero int).
+Matrices are stored as lists of sparse rows (dict column -> int).
 `rank` is the only operation, and simplicial.relative_cohomology its one
 caller: every cohomology dimension is a count of faces plus and minus
 ranks of sparse coboundary matrices, and the rank of every multiplication
 map follows from such dimensions by exactness, so no kernel basis or
 echelon form is kept.
 
-The elimination is the same for both fields.  Over GF(p) the entries are
-reduced mod p first and stay native ints in 0..p-1.  Each step pivots on
-the shortest live row: over GF(p) on its first entry, over Q on its entry
-of smallest absolute value.  A row meeting the pivot column loses
+The elimination is the same for both fields.  Zero entries are dropped
+first (over GF(p) after reducing mod p: entries stay ints in 0..p-1),
+and at most one row left is its own rank.  Each step pivots on the
+shortest live row: over GF(p) on its first entry, over Q on its entry of
+smallest absolute value.  A row meeting the pivot column loses
 ``f * pivot_row``, with ``f = w * pv^-1 mod p`` over GF(p) and ``f = w // pv``
 over Q when the pivot divides the entry ``w``.  Otherwise, over Q, the row
 is scaled by the pivot first (``row <- pv*row - w*pivot_row``) and divided
@@ -35,8 +36,10 @@ def rank(rows: SparseMatrix, field: FieldSpec) -> int:
     if p:
         rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
     else:
-        rows = [dict(r) for r in rows]
+        rows = [{c: v for c, v in r.items() if v} for r in rows]
     rows = [r for r in rows if r]
+    if len(rows) <= 1:
+        return len(rows)
     col_rows: dict = {}
     for i, r in enumerate(rows):
         for c in r:

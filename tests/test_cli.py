@@ -5,11 +5,13 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 
 from svtlab import cech, ideals
-from svtlab.cli import main, parse_ideal_document
+from svtlab.cli import _dumps, main, parse_ideal_document
 from svtlab.ideals import SquareFreeIdeal, VariableContext
 
 
@@ -462,3 +464,45 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["failures"] == 0
+
+
+# text with quotes, backslashes, control and non-ASCII characters (surrogates too)
+_texts = st.text(st.characters(), max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀", "\ud800"])
+_leaves = (
+    _texts
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 1e300, 5e-324])
+    | st.booleans()
+    | st.none()
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    """The payload writer reproduces json.dumps(indent=2, sort_keys=True)."""
+
+    @given(_values)
+    @settings(max_examples=300, deadline=None)
+    @example([[], {}, (), {"": [{}], "a": ((),)}])
+    @example({"é\"\n": [10**40, -(10**40), float("nan"), True, False, None, ("x", 1.5)]})
+    def test_equals_indented_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_analyze_output_is_indented_json_of_itself(self, capsys, name):
+        # timings are floats, and json reads each back to the same float
+        with open(fixture_path(name)) as fh:
+            n = len(json.load(fh)["variables"])
+        code, out, _ = invoke(
+            capsys, "analyze", "--input", fixture_path(name), "--no-cache", "--max-vars", str(n)
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -104,6 +104,35 @@ class TestRank:
         sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
         assert rank(sparse, field) == dense_rank(dense, field)
 
+    def test_explicit_zero_entries(self):
+        Q = FieldSpec(0)
+        assert rank([{0: 0}], Q) == 0
+        assert rank([{0: 0, 1: 0}, {}], Q) == 0
+        # a zero at a column the pivot row does not reach used to be divided by
+        assert rank([{0: 2, 1: 0}, {0: 3, 1: 5}], Q) == 2
+        assert rank([{0: 3, 1: 0}], FieldSpec(3)) == 0
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(dense=small_int_matrices(), keep=st.lists(st.booleans(), min_size=144, max_size=144))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_rank_with_zeros_kept(self, field, dense, keep):
+        # some zero entries are stored explicitly, as a caller may pass them
+        width = len(dense[0]) if dense else 0
+        sparse = [
+            {j: v for j, v in enumerate(row) if v or keep[i * width + j]}
+            for i, row in enumerate(dense)
+        ]
+        assert rank(sparse, field) == dense_rank(dense, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(row=st.lists(st.integers(-4, 4), max_size=12), zero_rows=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_one_nonzero_row_with_zeros_kept(self, field, row, zero_rows):
+        # at most one nonzero row after cleaning: the early return
+        sparse = [dict(enumerate(row))] + [{0: 0, 1: field.characteristic}] * zero_rows
+        dense = [row] + [[0] * len(row)] * zero_rows if row else []
+        assert rank(sparse, field) == dense_rank(dense, field)
+
     def test_does_not_mutate_rows(self):
         # callers may keep the rows they rank; these rows hit the scaling
         # path over Q, cancel and reduce mod p

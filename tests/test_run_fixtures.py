@@ -82,3 +82,24 @@ def test_duality_mismatch_returns_1(monkeypatch, capsys):
         "ex47.json"
     ]
     assert "FAILED: ex47.json" in out
+
+
+def test_depth_off_the_lowest_hochster_row_returns_1(monkeypatch, capsys):
+    script = load_script()
+    with open(fixture_path("rp2.json")) as fh:
+        rp2 = parse_ideal_document(json.load(fh))
+    real = script.svt_check
+
+    def shifted(table):
+        report = real(table)
+        if table.ideal == rp2:
+            report = dataclasses.replace(report, depth=report.depth + 1)
+        return report
+
+    monkeypatch.setattr(script, "svt_check", shifted)
+    assert script.main(["--field", "2"]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if "hochster_depth=False" in line] == [
+        "rp2.json"
+    ]
+    assert "FAILED: rp2.json" in out

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import context_of, proper_ideals
+from conftest import context_of, fixture_path, proper_ideals
 from oracles import (
     faces_by_card,
     hochster_table_all_faces,
@@ -14,6 +16,7 @@ from oracles import (
 from test_cech import projective_plane_ideal
 
 from svtlab import linalg, simplicial
+from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, VariableContext, bits, popcount
 from svtlab.simplicial import (
@@ -265,7 +268,8 @@ class TestSkippedLinks:
             return reduced_cohomology(lk, fld)
 
         monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
-        assert depth_quotient(I, field) == (2 if field.characteristic == 2 else 3)
+        rows = {i for i, _ in hochster_table(I, field)}
+        assert min(rows) == (2 if field.characteristic == 2 else 3)
         assert sorted(calls) == sorted(distinct)
         assert len(calls) < len(faces) == 32
 
@@ -287,6 +291,46 @@ class TestSkippedLinks:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("a cone needs no rank"))
             assert reduced_cohomology(cone, Q) == {}
+
+
+def _two_planes():
+    with open(fixture_path("two_planes.json")) as fh:
+        return parse_ideal_document(json.load(fh))
+
+
+class TestPrunedDepth:
+    """depth_quotient's pruned walk against the lowest row of the full table."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
+    @settings(max_examples=150, deadline=None)
+    # RP^2: depth 3 over Q, 2 over GF(2), from H~^1 of the whole complex
+    @example(I=projective_plane_ideal())
+    # I = m: the EMPTY complex, depth 0
+    @example(I=SquareFreeIdeal.maximal(context_of(3)))
+    # two planes meeting in a point: a disconnected complex, depth 1
+    @example(I=_two_planes())
+    # (x1 x2) in three variables: a cone over x3, Cohen-Macaulay of depth 2
+    @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011]))
+    # an annulus of six triangles: H~^1 = k in every characteristic, depth 2
+    @example(I=SquareFreeIdeal.from_supports(
+        context_of(6), [0b000111, 0b001100, 0b010001, 0b100010, 0b111000]
+    ))
+    # lk x6 has facets x2x3, x2x5, x3x5, x1x4x7, x1x5x7 in that order: the
+    # last one joins the fourth to the rest, so connectivity needs a second pass
+    @example(I=SquareFreeIdeal.from_supports(
+        context_of(7), [0b101, 0b1010, 0b1100, 0b10110, 0b11000, 0b100011, 0b1000010, 0b1000100]
+    ))
+    def test_equals_lowest_row_of_the_table(self, field, I):
+        assert depth_quotient(I, field) == min(i for i, _ in hochster_table(I, field))
+
+    def test_disconnected_link_needs_no_cohomology(self, monkeypatch):
+        # two planes: the empty face's link is disconnected, which decides
+        # depth 1 from connectivity alone, without reduced cohomology
+        monkeypatch.setattr(
+            simplicial, "reduced_cohomology", lambda *a: pytest.fail("no link is ranked")
+        )
+        assert depth_quotient(_two_planes(), Q) == 1
 
 
 def _simplex_boundary(n):
@@ -383,3 +427,15 @@ class TestRelativeKernel:
         assert relative_cohomology(outside, sub.facets, field) == (
             relative_cohomology_by_elimination(delta, sub, field)
         )
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(pairs(), st.integers(-2, 7))
+    @settings(max_examples=100, deadline=None)
+    @example(pair=(_RP2, SimplicialComplex.empty_complex(6)), max_degree=1)
+    def test_degree_bound_keeps_the_lower_degrees(self, field, pair, max_degree):
+        delta, sub = pair
+        outside = [f for f in delta.facets if not sub.contains(f)]
+        full = relative_cohomology(outside, sub.facets, field)
+        assert relative_cohomology(outside, sub.facets, field, max_degree) == {
+            d: h for d, h in full.items() if d <= max_degree
+        }
