@@ -8,8 +8,8 @@ else 0.  The duality sentinel checks every entry of the table against
 the Hochster table of S/I: dim H^i_I(S)_N = dim H^{n-i}_m(S/I)_{[n] - N}
 (Mustata's Ext formula with local duality), two independent engines.
 The depth sentinel (hochster_depth=) checks the report's depth, which
-depth_quotient finds by a pruned walk, against the lowest row of that
-full Hochster table.
+depth_quotient reads off the rows below the smallest facet size, against
+the lowest row of that full Hochster table.
 Each table is built with the variable cap raised to the fixture's own
 number of variables, so the nine-variable fixture is checked too.
 

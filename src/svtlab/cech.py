@@ -30,8 +30,8 @@ so each class is computed once per table call.  Ranks are taken exactly
 Multiplication by x_j sends pattern N to N \\ {j}.  L = K_{N \\ {j}} is the
 subcomplex of K = K_N induced on N \\ {j}, and x_j is the restriction
 H~^{i-2}(K) -> H~^{i-2}(L).  The faces of K outside L are those holding
-j, so multiplication_rank passes the facets of K that hold j and the facets
-of L to simplicial.relative_cohomology for h^e = H^e(K, L), e <= i - 2, and reads
+j, so multiplication_rank passes the facets of K that hold j and the
+facets of L to simplicial.relative_cohomology for h = H^*(K, L), and reads
 the rank off the exact sequence
 H^e(K, L) -> H~^e(K) -> H~^e(L) -> H^{e+1}(K, L), e = k - 2, with the
 cohomology dimensions T(k, N) read from the table: rk_0 = 0 and, for
@@ -273,7 +273,7 @@ def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: 
         return 0
     # the faces of K_N outside K_{N \ {j}} are those holding j
     outside = [f for f in _facets(I, pattern) if f & b]
-    h = simplicial.relative_cohomology(outside, _facets(I, target), table.field, i - 2)
+    h = simplicial.relative_cohomology(outside, _facets(I, target), table.field)
     rank = 0
     for k in range(1, i + 1):
         rank = table.dim(k, pattern) - h.get(k - 2, 0) + table.dim(k - 1, target) - rank

@@ -144,8 +144,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_cohomology(args) -> int:
     table, state = _table(load_ideal(args.input), args)
-    ideal, field = table.ideal.to_json(), table.field.label()
-    _emit({"ideal": ideal, "field": field, "cache": state, "table": table.entries()}, args)
+    _emit(
+        {
+            "ideal": table.ideal.to_json(),
+            "field": table.field.label(),
+            "cache": state,
+            "table": table.entries(),
+        },
+        args,
+    )
     return EXIT_OK
 
 
@@ -268,15 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text, func in (
-        ("analyze", "full analysis report of one ideal", cmd_analyze),
-        ("cohomology", "graded local cohomology table", cmd_cohomology),
-        ("svt", "vanishing/connectedness verdicts only", cmd_svt),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--input", required=True)
-        _add_common(p)
-        p.set_defaults(func=func)
+    p = sub.add_parser("analyze", help="full analysis report of one ideal")
+    p.add_argument("--input", required=True)
+    _add_common(p)
+    p.set_defaults(func=cmd_analyze)
+
+    p = sub.add_parser("cohomology", help="graded local cohomology table")
+    p.add_argument("--input", required=True)
+    _add_common(p)
+    p.set_defaults(func=cmd_cohomology)
+
+    p = sub.add_parser("svt", help="vanishing/connectedness verdicts only")
+    p.add_argument("--input", required=True)
+    _add_common(p)
+    p.set_defaults(func=cmd_svt)
 
     p = sub.add_parser("graph", help="theta or gamma connectivity graph")
     p.add_argument("--input", required=True)

@@ -263,9 +263,9 @@ class TestSkippedLinks:
             distinct.add(tuple(sorted(sum(1 << names.index(v) for v in bits(f)) for f in facets)))
         calls = []
 
-        def spy(lk, fld):
+        def spy(lk, fld, max_degree=None):
             calls.append(lk.facets)
-            return reduced_cohomology(lk, fld)
+            return reduced_cohomology(lk, fld, max_degree)
 
         monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
         rows = {i for i, _ in hochster_table(I, field)}
@@ -298,8 +298,28 @@ def _two_planes():
         return parse_ideal_document(json.load(fh))
 
 
-class TestPrunedDepth:
-    """depth_quotient's pruned walk against the lowest row of the full table."""
+class TestRowsBelow:
+    """hochster_table below a row, and depth_quotient, which builds only the
+    rows below the smallest facet size, against the full table."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=7, max_gens=6), st.integers(0, 8))
+    @settings(max_examples=120, deadline=None)
+    # RP^2 over GF(2): row 2 comes from H~^1 of the whole complex
+    @example(I=projective_plane_ideal(), below=3)
+    # I = m: the EMPTY complex, whose only entry is row 0
+    @example(I=SquareFreeIdeal.maximal(context_of(3)), below=1)
+    # two disjoint edges: row 1 from H~^0, row 2 from the facets
+    @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]), below=3)
+    # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: the
+    # memo entry made for x1 (degrees <= 2) holds H~^2, which for x2x3
+    # (degrees <= 1) would be row 5
+    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]), below=5)
+    def test_equals_the_full_table_cut_below(self, field, I, below):
+        full = hochster_table(I, field)
+        assert hochster_table(I, field, below) == {
+            (i, face): h for (i, face), h in full.items() if i < below
+        }
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
@@ -321,15 +341,13 @@ class TestPrunedDepth:
     @example(I=SquareFreeIdeal.from_supports(
         context_of(7), [0b101, 0b1010, 0b1100, 0b10110, 0b11000, 0b100011, 0b1000010, 0b1000100]
     ))
-    def test_equals_lowest_row_of_the_table(self, field, I):
+    def test_depth_equals_lowest_row_of_the_table(self, field, I):
         assert depth_quotient(I, field) == min(i for i, _ in hochster_table(I, field))
 
-    def test_disconnected_link_needs_no_cohomology(self, monkeypatch):
-        # two planes: the empty face's link is disconnected, which decides
-        # depth 1 from connectivity alone, without reduced cohomology
-        monkeypatch.setattr(
-            simplicial, "reduced_cohomology", lambda *a: pytest.fail("no link is ranked")
-        )
+    def test_disconnected_link_needs_no_rank(self, monkeypatch):
+        # two planes: the edges x3x4 and x1x2, so only row 1 is built, and
+        # the empty face's link gives it from its two components
+        monkeypatch.setattr(linalg, "rank", lambda *a: pytest.fail("no coboundary is ranked"))
         assert depth_quotient(_two_planes(), Q) == 1
 
 
@@ -378,6 +396,24 @@ class TestStarLemma:
         assert reduced_cohomology(delta, field) == reduced_cohomology_by_elimination(
             delta, field
         )
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(complexes(), st.integers(-1, 6))
+    @settings(max_examples=150, deadline=None)
+    # two points and a triangle: H~^0 from three components
+    @example(delta=SimplicialComplex(5, (0b00001, 0b00010, 0b11100)), max_degree=0)
+    # a path v0v1 - v1v2v5 - v2v3 - v3v4 whose facets, in mask order, join
+    # v3v4 to the rest only after v1v2v5 has joined v2v3: one component
+    @example(delta=SimplicialComplex(6, (0b000011, 0b001100, 0b011000, 0b100110)), max_degree=0)
+    @example(delta=SimplicialComplex.empty_complex(3), max_degree=0)
+    @example(delta=_RP2, max_degree=1)
+    def test_degree_bound_keeps_the_lower_degrees(self, field, delta, max_degree):
+        full = reduced_cohomology_by_elimination(delta, field)
+        with pytest.MonkeyPatch.context() as m:
+            if max_degree <= 0:
+                m.setattr(linalg, "rank", lambda *a: pytest.fail("degree 0 needs no rank"))
+            bounded = reduced_cohomology(delta, field, max_degree)
+        assert bounded == {d: h for d, h in full.items() if d <= max_degree}
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_boundary_of_simplex_needs_no_rank(self, n):
