@@ -45,8 +45,6 @@ target's entry in the table.
 A CohomologyTable carries its ideal and field, and everything read off it
 takes the table alone.  The variable cap is checked where a table is made:
 in local_cohomology_table, and in the CLI before it trusts a cached table.
-GradedComplex and build_graded_complex, the 2^r sign complex of one
-pattern, are kept only as the tests' Cech oracle.
 """
 
 from __future__ import annotations
@@ -89,6 +87,7 @@ class EngineLimits:
 DEFAULT_LIMITS = EngineLimits()
 
 
+# The 2^r sign complex, a test oracle that stays while perfbench/tracer.py wraps it.
 @dataclass
 class GradedComplex:
     """The Cech complex of one negativity pattern (the tests' oracle)."""
@@ -119,6 +118,7 @@ class GradedComplex:
         return rows
 
 
+# A test oracle that stays while perfbench/tracer.py wraps it by name.
 def build_graded_complex(
     I: SquareFreeIdeal, pattern: int, limits: EngineLimits = DEFAULT_LIMITS
 ) -> GradedComplex:
@@ -234,17 +234,6 @@ def cohomological_dimension(table: CohomologyTable) -> int:
     return max(table.nonzero_rows())
 
 
-def is_artinian(table: CohomologyTable, i: int) -> bool:
-    """H^i_I(S) is artinian iff it is supported only at the maximal ideal.
-
-    Inverting any variable x_j kills an artinian module, and the graded
-    pieces with j not in N assemble to H^i_I(S)_{x_j}; so artinian-ness is
-    exactly the vanishing of every pattern except N = [n].
-    """
-    full = table.ideal.context.full_mask
-    return all(p == full for p in table.row(i))
-
-
 def q_invariant(table: CohomologyTable) -> Optional[int]:
     """Largest i with H^i_I(S) not artinian, or None when all are artinian."""
     full = table.ideal.context.full_mask
@@ -304,16 +293,3 @@ def is_multiplication_surjective(table: CohomologyTable, i: int, x: SquareFreeMo
             if multiplication_rank(table, i, j, target | b) != dim:
                 return False
     return True
-
-
-def is_divisible(table: CohomologyTable, i: int) -> bool:
-    """Divisibility of H^i_I(S) by every nonzero monomial.
-
-    A monomial acts as the composition of its variables, and it is
-    surjective iff each of its variables is; so divisibility is
-    surjectivity of the product of all the variables.  (Whether this
-    extends to arbitrary nonzero ring elements in the graded model is
-    deliberately not claimed.)
-    """
-    context = table.ideal.context
-    return is_multiplication_surjective(table, i, SquareFreeMonomial(context, context.full_mask))

@@ -45,21 +45,16 @@ def theta_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
     return ConnectivityGraph(THETA, primes, frozenset(edges))
 
 
-def quotient_height(I: SquareFreeIdeal, prime_mask: int) -> int:
-    """Height of the coordinate prime on prime_mask taken in S/I.
-
-    |vars| minus the largest minimal prime of I contained in it; chains of
-    coordinate primes in S/I realize exactly these lengths (see the brute
-    force in the test suite).
-    """
-    return _quotient_height(minimal_primes(I), prime_mask)
-
-
 def _quotient_height(primes: tuple, prime_mask: int) -> int:
+    """Height in S/I of the coordinate prime on prime_mask, given I's minimal primes.
+
+    |vars| minus the smallest minimal prime of I inside it: the longest
+    chain of coordinate primes of S/I below it (the tests' chain oracle).
+    """
     inside = [p.height for p in primes if p.variables & prime_mask == p.variables]
     if not inside:
         raise ValueError("the prime does not contain a minimal prime of I")
-    return popcount(prime_mask) - max(inside)
+    return popcount(prime_mask) - min(inside)
 
 
 def gamma_graph(I: SquareFreeIdeal) -> ConnectivityGraph:

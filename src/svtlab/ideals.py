@@ -28,7 +28,7 @@ class CapExceededError(RuntimeError):
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def bits(mask: int) -> list:
@@ -221,9 +221,6 @@ class CoordinatePrime:
     @property
     def height(self) -> int:
         return popcount(self.variables)
-
-    def as_ideal(self) -> SquareFreeIdeal:
-        return SquareFreeIdeal(self.context, tuple(1 << i for i in bits(self.variables)))
 
     def names(self) -> tuple:
         return self.context.names_of(self.variables)

@@ -27,9 +27,7 @@ Stanley-Reisner complex of I.  Five facts keep it cheap:
   (a facet's link is EMPTY, so row m is nonzero): hochster_table(I, k, m)
   needs from lk F only the degrees d <= m - |F| - 2, reads d = 0 from
   the components of the link without a rank, and ranks no coboundary
-  above the bound.  On the benchmark's seed-1 warm pool over Q that is
-  1,633 rank calls against 3,620 for the full tables; 3,838 of the 5,923
-  reduced_cohomology calls stop at degree 0.
+  above the bound.
 - S/P for a coordinate prime P is a polynomial ring in d = n - ht P
   variables (its complex is a simplex), so H^i_m(S/P) is nonzero only at
   i = d; analysis.svt_check uses that instead of a table per prime.
@@ -69,14 +67,6 @@ class SimplicialComplex:
         delta.__dict__.update(n=n, facets=facets)
         return delta
 
-    @classmethod
-    def void_complex(cls, n: int) -> "SimplicialComplex":
-        return cls(n, ())
-
-    @classmethod
-    def empty_complex(cls, n: int) -> "SimplicialComplex":
-        return cls(n, (0,))
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -84,12 +74,6 @@ class SimplicialComplex:
     @property
     def is_empty(self) -> bool:
         return self.facets == (0,)
-
-    def dim(self) -> int:
-        """-1 for EMPTY; undefined (ValueError) for VOID."""
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(popcount(f) for f in self.facets) - 1
 
     def contains(self, face: int) -> bool:
         return any(face & f == face for f in self.facets)
@@ -100,6 +84,7 @@ def complex_from_ideal(I: SquareFreeIdeal) -> SimplicialComplex:
     return SimplicialComplex(I.context.n, stanley_reisner_facets(I))
 
 
+# Used by the tests only; stays while perfbench/tracer.py wraps it by name.
 def link(delta: SimplicialComplex, face: int) -> SimplicialComplex:
     """{G : G disjoint from face, G union face in delta}."""
     if not delta.contains(face):
@@ -285,6 +270,7 @@ def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
     return min((i for i, _ in hochster_table(I, field, m)), default=m)
 
 
+# Used by the tests only; stays while perfbench/tracer.py wraps it by name.
 def finite_length(I: SquareFreeIdeal, i: int, field: FieldSpec) -> bool:
     """True iff H^i_m(S/I) has finite length: only the F = empty column may be nonzero."""
     return all(face == 0 for (row, face) in hochster_table(I, field) if row == i)

@@ -10,9 +10,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from svtlab import linalg
-from svtlab.cech import EngineLimits, GradedComplex, build_graded_complex
+from svtlab.cech import (
+    CohomologyTable,
+    EngineLimits,
+    GradedComplex,
+    build_graded_complex,
+    is_multiplication_surjective,
+)
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, bits, popcount
+from svtlab.ideals import CoordinatePrime, SquareFreeIdeal, SquareFreeMonomial, bits, popcount
 from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
 
 
@@ -111,6 +117,35 @@ def _subsets(n: int, k: int):
     return sorted(out)
 
 
+def prime_ideal(p: CoordinatePrime) -> SquareFreeIdeal:
+    """The coordinate prime p as an ideal, one variable per generator."""
+    return SquareFreeIdeal(p.context, tuple(1 << i for i in bits(p.variables)))
+
+
+def is_artinian(table: CohomologyTable, i: int) -> bool:
+    """H^i_I(S) is artinian iff it is supported only at the maximal ideal.
+
+    Inverting any variable x_j kills an artinian module, and the graded
+    pieces with j not in N assemble to H^i_I(S)_{x_j}; so artinian-ness is
+    exactly the vanishing of every pattern except N = [n].
+    """
+    full = table.ideal.context.full_mask
+    return all(p == full for p in table.row(i))
+
+
+def is_divisible(table: CohomologyTable, i: int) -> bool:
+    """Divisibility of H^i_I(S) by every nonzero monomial.
+
+    A monomial acts as the composition of its variables, and it is
+    surjective iff each of its variables is; so divisibility is
+    surjectivity of the product of all the variables.  (Whether this
+    extends to arbitrary nonzero ring elements in the graded model is
+    deliberately not claimed.)
+    """
+    context = table.ideal.context
+    return is_multiplication_surjective(table, i, SquareFreeMonomial(context, context.full_mask))
+
+
 def brute_force_quotient_height(I: SquareFreeIdeal, prime_mask: int) -> int:
     """Longest chain of coordinate primes of S/I descending from prime_mask.
 
@@ -202,7 +237,7 @@ def faces_by_card(delta: SimplicialComplex) -> list:
         while sub:
             faces.add(sub)
             sub = (sub - 1) & f
-    levels = [[0]] + [[] for _ in range(delta.dim() + 1)]
+    levels = [[0]] + [[] for _ in range(max(map(popcount, delta.facets)))]
     for face in sorted(faces):
         levels[popcount(face)].append(face)
     return levels

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import context_of, fixture_path, seeded_random_ideals
-from oracles import brute_force_facets
+from oracles import brute_force_facets, is_artinian, is_divisible, prime_ideal
 
 from svtlab.analysis import (
     grade_check,
@@ -22,8 +22,6 @@ from svtlab.analysis import (
 )
 from svtlab.cech import (
     EngineLimits,
-    is_artinian,
-    is_divisible,
     is_multiplication_surjective,
     is_vanishing,
     local_cohomology_table,
@@ -80,9 +78,9 @@ def test_criterion_01_two_block_fixture_full_story():
         is_connected(G),
         [p.label() for p in primes] == ["P{x1,x2,x3}", "P{y1,y2,y3}"],
         all(I.context.n - p.height == 5 for p in primes),
-        all(finite_length(p.as_ideal(), 2, Q) for p in primes),
+        all(finite_length(prime_ideal(p), 2, Q) for p in primes),
         all(
-            sum(d for (i, _), d in hochster_table(p.as_ideal(), Q).items() if i == 2) == 0
+            sum(d for (i, _), d in hochster_table(prime_ideal(p), Q).items() if i == 2) == 0
             for p in primes
         ),
         table.is_row_zero(7),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import context_of, fixture_path, proper_ideals
-from oracles import hochster_table_all_faces
+from oracles import hochster_table_all_faces, prime_ideal
 
 from svtlab import cech, graphs
 from svtlab.cech import EngineLimits, local_cohomology_table
@@ -256,7 +256,7 @@ def assert_finite_length_hypotheses_match_hochster(I, field, limits=EngineLimits
     report = svt_check(local_cohomology_table(I, field, limits))
     by_name = {h.name: h for h in report.hypotheses}
     for p in minimal_primes(I):
-        q = p.as_ideal()
+        q = prime_ideal(p)
         fl = finite_length(q, 2, field)
         entry = hochster_table_all_faces(q, field).get((2, 0), 0)
         h = by_name[f"finite length of H^2_m(S/{p.label()})"]

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import (
     cech_table_dims,
+    is_artinian,
+    is_divisible,
     localized_piece_dim,
     multiplication_rank_by_cocycles,
     multiplication_rank_by_three_ranks,
@@ -34,8 +36,6 @@ from svtlab.cech import (
     EngineLimits,
     build_graded_complex,
     cohomological_dimension,
-    is_artinian,
-    is_divisible,
     is_multiplication_surjective,
     is_vanishing,
     local_cohomology_table,

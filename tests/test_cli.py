@@ -9,10 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
+from oracles import is_divisible
+from test_cech import NOT_DIVISIBLE
 
 from svtlab import cech, ideals
 from svtlab.cli import _dumps, main, parse_ideal_document
-from svtlab.ideals import SquareFreeIdeal, VariableContext
+from svtlab.fields import FieldSpec
+from svtlab.ideals import SquareFreeIdeal, SquareFreeMonomial, VariableContext
 
 
 def all_subsets_document(n, k):
@@ -276,6 +279,33 @@ class TestCrossCommand:
         assert mv["first"] == mv["second"] == analyze["ideal"]
         for doc in (analyze, svt, cohomology, surjectivity):
             assert doc["cache"] == "off"
+
+    @pytest.mark.parametrize("field", ["rationals", "2"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_surjectivity_at_every_degree(self, capsys, name, field):
+        # the CLI's own divisibility walk against the library and the
+        # product-of-all-variables oracle, at every degree of every fixture
+        src = fixture_path(name)
+        with open(src) as fh:
+            I = parse_ideal_document(json.load(fh))
+        n = I.context.n
+        table = cech.local_cohomology_table(I, FieldSpec.parse(field), cech.EngineLimits(max_vars=n))
+        x = SquareFreeMonomial(I.context, 1)
+        not_divisible = []
+        for i in range(-1, n + 2):
+            code, out, err = invoke(
+                capsys, "surjectivity", "--input", src, "--degree", str(i), "--monomial",
+                I.context.names[0], "--field", field, "--no-cache", "--max-vars", str(n),
+            )
+            assert code == 0 and err == "", err
+            doc = json.loads(out)
+            assert doc["surjective"] == cech.is_multiplication_surjective(table, i, x)
+            assert doc["divisible"] == is_divisible(table, i)
+            if not doc["divisible"]:
+                not_divisible.append(i)
+        # rp2's table depends on the field: H^3 is not divisible over Q only
+        rp2 = [3] if field == "rationals" else []
+        assert not_divisible == (rp2 if name == "rp2.json" else NOT_DIVISIBLE[name])
 
 
 class TestExitCodes:

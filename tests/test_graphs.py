@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import context_of, proper_ideals
-from oracles import brute_force_quotient_height
+from oracles import brute_force_quotient_height, prime_ideal
 
 from svtlab import graphs
 from svtlab.ideals import (
@@ -17,10 +17,10 @@ from svtlab.ideals import (
 from svtlab.graphs import (
     GAMMA,
     THETA,
+    _quotient_height,
     gamma_graph,
     is_connected,
     punctured_spectrum_connected,
-    quotient_height,
     theta_graph,
     to_dot,
 )
@@ -28,6 +28,17 @@ from svtlab.graphs import (
 
 def primes(ctx, *lists):
     return SquareFreeIdeal.intersection_of_primes(ctx, list(lists))
+
+
+# two planes meeting only at the origin, and a line meeting each of them:
+# m has height 2 in S/I, by a chain through the line (x1,x3,x4) or (x2,x3,x5)
+TWO_PLANES_AND_A_LINE = primes(
+    context_of(5), ["x1", "x2", "x4", "x5"], ["x1", "x3", "x4"], ["x2", "x3", "x5"]
+)
+
+
+def quotient_height(I, mask):
+    return _quotient_height(minimal_primes(I), mask)
 
 
 class TestTheta:
@@ -77,7 +88,7 @@ class TestTheta:
             (i, j)
             for i in range(len(ps))
             for j in range(i + 1, len(ps))
-            if not is_m_primary(sum_ideals(ps[i].as_ideal(), ps[j].as_ideal()))
+            if not is_m_primary(sum_ideals(prime_ideal(ps[i]), prime_ideal(ps[j])))
         }
         assert theta_graph(I).edges == frozenset(expected)
 
@@ -96,13 +107,11 @@ class TestQuotientHeight:
 
     @given(proper_ideals(max_n=5))
     @settings(max_examples=60, deadline=None)
-    def test_matches_chain_oracle_on_unmixed(self, I):
-        ps = minimal_primes(I)
-        if len({p.height for p in ps}) != 1:
-            return  # chain-length and codimension conventions agree only here
-        for a in range(len(ps)):
-            for b in range(a + 1, len(ps)):
-                mask = ps[a].variables | ps[b].variables
+    @example(I=TWO_PLANES_AND_A_LINE)
+    def test_matches_chain_oracle(self, I):
+        # every coordinate prime containing I, mixed ideals included
+        for mask in range(1, 1 << I.context.n):
+            if all(g & mask for g in I.generators):
                 assert quotient_height(I, mask) == brute_force_quotient_height(I, mask)
 
 
@@ -140,6 +149,7 @@ class TestGamma:
 
     @given(proper_ideals(max_n=6, max_gens=6))
     @settings(max_examples=80, deadline=None)
+    @example(I=TWO_PLANES_AND_A_LINE)
     def test_matches_the_definition(self, I):
         dim = dim_quotient(I)
         top = tuple(p for p in minimal_primes(I) if I.context.n - p.height == dim)
@@ -147,7 +157,7 @@ class TestGamma:
             (i, j)
             for i in range(len(top))
             for j in range(i + 1, len(top))
-            if quotient_height(I, top[i].variables | top[j].variables) == 1
+            if brute_force_quotient_height(I, top[i].variables | top[j].variables) == 1
         }
         G = gamma_graph(I)
         assert G.vertices == top and G.edges == frozenset(expected)
