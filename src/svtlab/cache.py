@@ -59,7 +59,7 @@ def lookup(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec) -> Optional[Coh
         return CohomologyTable(I, field, _checked_dims(I, data["entries"]))
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, RecursionError):  # JSONDecodeError is a ValueError
         _evict(path)
         return None
 

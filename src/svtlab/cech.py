@@ -60,7 +60,6 @@ from .ideals import (
     SquareFreeMonomial,
     VariableContext,
     bits,
-    popcount,
 )
 
 
@@ -113,7 +112,7 @@ class GradedComplex:
                 T2 = T | b
                 j = tgt.get(T2)
                 if j is not None:
-                    row[j] = (-1) ** popcount(T & (b - 1))
+                    row[j] = (-1) ** (T & (b - 1)).bit_count()
             rows.append(row)
         return rows
 
@@ -135,7 +134,7 @@ def build_graded_complex(
         u = unions[T ^ low] | supports[low.bit_length() - 1]
         unions[T] = u
         if pattern & u == pattern:
-            active[popcount(T)].append(T)
+            active[T.bit_count()].append(T)
     return GradedComplex(r, pattern, supports, active)
 
 
@@ -209,8 +208,7 @@ def local_cohomology_table(
         key = simplicial.maximal_faces(misses[j] for j in bits(pattern))
         coh = memo.get(key)
         if coh is None:
-            delta = simplicial.SimplicialComplex._trusted(I.context.n, _facets(I, pattern))
-            coh = memo[key] = simplicial.reduced_cohomology(delta, field)
+            coh = memo[key] = simplicial.reduced_cohomology(_facets(I, pattern), field)
         for d, h in coh.items():
             dims[(d + 2, pattern)] = h
     return CohomologyTable(I, field, dims)

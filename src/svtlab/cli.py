@@ -54,8 +54,12 @@ def parse_ideal_document(doc: dict) -> SquareFreeIdeal:
     """JSON schema: {"variables": [...], "ideal": {"generators": [[...]]}}
     or {"variables": [...], "ideal": {"intersection_of_primes": [[...]]}}."""
     try:
+        if not isinstance(doc, dict):
+            raise InputError("the ideal document must be a JSON object")
         context = VariableContext(tuple(_json_list(doc, "variables")))
         spec = doc["ideal"]
+        if not isinstance(spec, dict):
+            raise InputError("'ideal' must be a JSON object")
         if "generators" in spec:
             return SquareFreeIdeal.from_variable_lists(context, _json_list(spec, "generators", list))
         if "intersection_of_primes" in spec:
@@ -75,6 +79,8 @@ def load_ideal(path: str) -> SquareFreeIdeal:
         raise InputError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise InputError(f"{path} nests too deeply to read") from e
     return parse_ideal_document(doc)
 
 

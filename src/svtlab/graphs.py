@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import SquareFreeIdeal, minimal_primes, popcount
+from .ideals import SquareFreeIdeal, minimal_primes
 
 THETA = "theta"
 GAMMA = "gamma"
@@ -54,7 +54,7 @@ def _quotient_height(primes: tuple, prime_mask: int) -> int:
     inside = [p.height for p in primes if p.variables & prime_mask == p.variables]
     if not inside:
         raise ValueError("the prime does not contain a minimal prime of I")
-    return popcount(prime_mask) - min(inside)
+    return prime_mask.bit_count() - min(inside)
 
 
 def gamma_graph(I: SquareFreeIdeal) -> ConnectivityGraph:

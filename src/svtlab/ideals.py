@@ -27,10 +27,6 @@ class CapExceededError(RuntimeError):
     """A resource cap was hit: the variables of a context or of the engine."""
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def bits(mask: int) -> list:
     out = []
     i = 0
@@ -117,7 +113,7 @@ class SquareFreeMonomial:
 
 def minimize_supports(masks: Iterable) -> tuple:
     """Drop generators whose support contains another generator's support."""
-    masks = sorted(set(masks), key=lambda m: (popcount(m), m))
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept = []
     for m in masks:
         if not any(k & m == k for k in kept):
@@ -220,7 +216,7 @@ class CoordinatePrime:
 
     @property
     def height(self) -> int:
-        return popcount(self.variables)
+        return self.variables.bit_count()
 
     def names(self) -> tuple:
         return self.context.names_of(self.variables)
@@ -253,38 +249,32 @@ def _require_analyzable(I: SquareFreeIdeal):
         raise IdealDomainError("the unit ideal is not accepted here")
 
 
-def _minimal_transversals(I: SquareFreeIdeal) -> tuple:
+def _minimal_transversals(I: SquareFreeIdeal) -> list:
     """Minimal variable sets meeting every generator support, as bitmasks.
 
-    Incremental hitting-set expansion: branch on the variables of the first
-    generator the partial transversal misses, with a final irredundancy
-    filter.  Each set is built at most once, so the search visits at most
-    2^n nodes.
+    Berge's algorithm (C. Berge, "Hypergraphs", 1989) adds the supports one
+    at a time to the minimal transversals of those before.  Two facts make
+    it exact.  A minimal transversal that meets the new support g stays
+    minimal, and is kept.  One, t, that misses g gives the candidates t | v
+    for v in g; these are pairwise incomparable (t | v inside t' | v' forces
+    v = v', as t' misses g, and then t = t' in the antichain), so only a
+    kept transversal can lie inside one, and the others are exactly the new
+    minimal transversals.
     """
-    gens = sorted(I.generators, key=popcount)
-    found = []
-
-    def extend(chosen: int, banned: int):
-        for g in gens:
-            if g & chosen == 0:
-                break
-        else:
-            found.append(chosen)
-            return
-        for v in bits(g & ~banned):
-            # ban later branches from reusing v so each transversal is built once
-            extend(chosen | (1 << v), banned | (1 << v))
-            banned |= 1 << v
-
-    extend(0, 0)
-    return minimize_supports(found)
+    found = [0]
+    for g in sorted(I.generators, key=int.bit_count):
+        kept = [t for t in found if t & g]
+        grown = [t | 1 << v for t in found if not t & g for v in bits(g)]
+        found = kept + [c for c in grown if not any(k & c == k for k in kept)]
+    return found
 
 
 def minimal_primes(I: SquareFreeIdeal) -> tuple:
     """Minimal primes over I, as minimal transversals of the generator supports.
 
     Returned in lexicographic order of variable index sets.  No generator
-    cap applies: the transversal search visits at most 2^n sets.
+    cap applies: after each generator the transversal search holds an
+    antichain of variable sets, by Sperner's theorem at most C(n, n // 2).
     """
     _require_analyzable(I)
     return I._minimal_primes
@@ -294,7 +284,7 @@ def is_m_primary(I: SquareFreeIdeal) -> bool:
     """True iff sqrt(I) is the maximal ideal, i.e. every variable is a generator."""
     if I.is_unit:
         raise IdealDomainError("the unit ideal is not accepted here")
-    singles = {g for g in I.generators if popcount(g) == 1}
+    singles = {g for g in I.generators if g.bit_count() == 1}
     return len(singles) == I.context.n
 
 
@@ -314,7 +304,7 @@ def stanley_reisner_facets(I: SquareFreeIdeal) -> tuple:
 
 def dim_quotient(I: SquareFreeIdeal) -> int:
     """Krull dimension of S/I: the maximal facet cardinality."""
-    return max(popcount(F) for F in stanley_reisner_facets(I))
+    return max(F.bit_count() for F in stanley_reisner_facets(I))
 
 
 def height(I: SquareFreeIdeal) -> int:

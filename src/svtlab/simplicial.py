@@ -1,8 +1,8 @@
 """Simplicial complexes, reduced cohomology, and the Hochster table.
 
 Faces are bitmasks over the ambient vertex set.  The degenerate cases are
-kept apart on purpose: VOID has no faces at all, EMPTY has exactly the
-empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
+kept apart on purpose: VOID = () has no faces at all, EMPTY = (0,) has
+exactly the empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
 
 Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
@@ -40,11 +40,7 @@ from typing import Dict, Tuple
 
 from . import linalg
 from .fields import FieldSpec
-from .ideals import (
-    SquareFreeIdeal,
-    popcount,
-    stanley_reisner_facets,
-)
+from .ideals import SquareFreeIdeal, stanley_reisner_facets
 
 
 @dataclass(frozen=True)
@@ -60,21 +56,6 @@ class SimplicialComplex:
             raise ValueError("facet list must be irredundant")
         object.__setattr__(self, "facets", facets)
 
-    @classmethod
-    def _trusted(cls, n: int, facets: tuple) -> "SimplicialComplex":
-        """A complex on facets already sorted and irredundant, not re-checked."""
-        delta = object.__new__(cls)
-        delta.__dict__.update(n=n, facets=facets)
-        return delta
-
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
-    def is_empty(self) -> bool:
-        return self.facets == (0,)
-
     def contains(self, face: int) -> bool:
         return any(face & f == face for f in self.facets)
 
@@ -89,14 +70,12 @@ def link(delta: SimplicialComplex, face: int) -> SimplicialComplex:
     """{G : G disjoint from face, G union face in delta}."""
     if not delta.contains(face):
         raise ValueError("face is not in the complex")
-    # G1 - F inside G2 - F forces G1 inside G2, so these facets are
-    # irredundant, and taking the same bits from each keeps their order
     facets = tuple(f & ~face for f in delta.facets if face & f == face)
-    return SimplicialComplex._trusted(delta.n, facets)
+    return SimplicialComplex(delta.n, facets)
 
 
-def _relabelled(facets: tuple) -> SimplicialComplex:
-    """The complex on facets with their vertex union renamed 0..k-1 in order."""
+def _relabelled(facets: tuple) -> tuple:
+    """The facets with their vertex union renamed 0..k-1 in order, sorted."""
     union = 0
     for f in facets:
         union |= f
@@ -110,13 +89,13 @@ def _relabelled(facets: tuple) -> SimplicialComplex:
             k <<= 1
             rest ^= low
         out.append(g)
-    return SimplicialComplex._trusted(popcount(union), tuple(sorted(out)))
+    return tuple(sorted(out))
 
 
 def maximal_faces(masks) -> tuple:
     """The inclusion-maximal masks among `masks`, sorted."""
     kept = []
-    for m in sorted(set(masks), key=popcount, reverse=True):
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not any(m & k == m for k in kept):
             kept.append(m)
     return tuple(sorted(kept))
@@ -150,10 +129,10 @@ def relative_cohomology(outside, inside, field: FieldSpec, max_degree=None) -> D
     `outside` are the facets of K not in L, and every face of K outside L
     lies in one of them.
     """
-    top = max(map(popcount, outside), default=0)
+    top = max(map(int.bit_count, outside), default=0)
     levels = [set() for _ in range(top + 1)]
     for f in outside:
-        levels[popcount(f)].add(f)
+        levels[f.bit_count()].add(f)
     # every face of a face outside L is outside L or in L
     for c in range(top, 1, -1):
         seen = set()
@@ -179,24 +158,25 @@ def relative_cohomology(outside, inside, field: FieldSpec, max_degree=None) -> D
     return {d: h for d, h in dims.items() if h}
 
 
-def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec, max_degree=None) -> Dict[int, int]:
-    """dims of H~^d(delta; k) for -1 <= d <= max_degree, nonzero entries only.
+def reduced_cohomology(facets: tuple, field: FieldSpec, max_degree=None) -> Dict[int, int]:
+    """dims of H~^d(K; k) for -1 <= d <= max_degree, nonzero entries only,
+    for the complex K with these sorted, irredundant facets.
 
     Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.  Up to
     degree 0 no rank is needed: H~^0 has dimension (components - 1).
-    Otherwise the dims are those of H^d(delta, st v) (the star lemma
+    Otherwise the dims are those of H^d(K, st v) (the star lemma
     above), with v a vertex in the most facets and the lowest of those on
     ties.
     """
-    if delta.is_empty:
+    if facets == (0,):
         return {-1: 1}
-    if delta.is_void:
+    if not facets:
         return {}
     if max_degree == 0:
-        extra = _components(delta.facets) - 1
+        extra = _components(facets) - 1
         return {0: extra} if extra else {}
-    counts = [0] * delta.n
-    for f in delta.facets:
+    counts = [0] * max(facets).bit_length()
+    for f in facets:
         while f:
             low = f & -f
             counts[low.bit_length() - 1] += 1
@@ -204,7 +184,7 @@ def reduced_cohomology(delta: SimplicialComplex, field: FieldSpec, max_degree=No
     v = 1 << counts.index(max(counts))
     # st v has the facets holding v; the facets missing v lie outside it
     return relative_cohomology(
-        [f for f in delta.facets if not f & v], [f for f in delta.facets if f & v], field, max_degree
+        [f for f in facets if not f & v], [f for f in facets if f & v], field, max_degree
     )
 
 
@@ -241,8 +221,8 @@ def hochster_table(I: SquareFreeIdeal, field: FieldSpec, below=None) -> Dict[Tup
     memo: Dict[tuple, Dict[int, int]] = {}  # relabelled link facets -> H~^{<= bound}
     table = {}
     # by size, so the degree bound never rises and a memo entry covers it
-    for face in sorted(closed, key=popcount):
-        size = popcount(face)
+    for face in sorted(closed, key=int.bit_count):
+        size = face.bit_count()
         bound = None if below is None else below - size - 2
         if bound is not None and bound < 0:
             if bound == -1 and face in delta.facets:  # EMPTY link, H~^{-1} = k
@@ -250,12 +230,12 @@ def hochster_table(I: SquareFreeIdeal, field: FieldSpec, below=None) -> Dict[Tup
             continue
         facets = tuple(f & ~face for f in delta.facets if face & f == face)
         if bound == 0:  # degree 0 takes no rank, so the memo would save nothing
-            coh = reduced_cohomology(SimplicialComplex._trusted(delta.n, facets), field, bound)
+            coh = reduced_cohomology(facets, field, bound)
         else:
             lk = _relabelled(facets)
-            coh = memo.get(lk.facets)
+            coh = memo.get(lk)
             if coh is None:
-                coh = memo[lk.facets] = reduced_cohomology(lk, field, bound)
+                coh = memo[lk] = reduced_cohomology(lk, field, bound)
         for d, h in coh.items():
             if bound is None or d <= bound:
                 table[(d + size + 1, face)] = h
@@ -266,7 +246,7 @@ def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
     """depth(S/I) = min i with H^i_m(S/I) nonzero.  Each facet's link is
     EMPTY, so row m, the smallest facet size, is nonzero and only the rows
     below it are built."""
-    m = min(map(popcount, stanley_reisner_facets(I)))
+    m = min(map(int.bit_count, stanley_reisner_facets(I)))
     return min((i for i, _ in hochster_table(I, field, m)), default=m)
 
 

@@ -18,7 +18,7 @@ from svtlab.cech import (
     is_multiplication_surjective,
 )
 from svtlab.fields import FieldSpec
-from svtlab.ideals import CoordinatePrime, SquareFreeIdeal, SquareFreeMonomial, bits, popcount
+from svtlab.ideals import CoordinatePrime, SquareFreeIdeal, SquareFreeMonomial, bits
 from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
 
 
@@ -101,7 +101,7 @@ def quotient_local_cohomology_dim(I: SquareFreeIdeal, i: int, degree, field=Fiel
                     continue
                 j = tgt.get(T | b)
                 if j is not None:
-                    row[j] = (-1) ** popcount(T & (b - 1))
+                    row[j] = (-1) ** (T & (b - 1)).bit_count()
             rows.append(row)
         ranks[k] = linalg.rank(rows, field)
     return len(terms.get(i, [])) - ranks.get(i, 0) - ranks.get(i - 1, 0)
@@ -219,7 +219,7 @@ def hochster_table_all_faces(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
     for face in sorted(f for level in faces_by_card(delta) for f in level):
         lk = link(delta, face)
         for d, h in reduced_cohomology_by_elimination(lk, field).items():
-            table[(d + popcount(face) + 1, face)] = h
+            table[(d + face.bit_count() + 1, face)] = h
     return table
 
 
@@ -229,7 +229,7 @@ def faces_by_card(delta: SimplicialComplex) -> list:
     Every face is a submask of a facet, so one submask walk per facet
     finds them all; VOID has no cardinality levels at all.
     """
-    if delta.is_void:
+    if not delta.facets:
         return []
     faces = set()
     for f in delta.facets:
@@ -237,9 +237,9 @@ def faces_by_card(delta: SimplicialComplex) -> list:
         while sub:
             faces.add(sub)
             sub = (sub - 1) & f
-    levels = [[0]] + [[] for _ in range(max(map(popcount, delta.facets)))]
+    levels = [[0]] + [[] for _ in range(max(map(int.bit_count, delta.facets)))]
     for face in sorted(faces):
-        levels[popcount(face)].append(face)
+        levels[face.bit_count()].append(face)
     return levels
 
 
@@ -263,7 +263,7 @@ def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(
                 b = 1 << v
                 j = col.get(f | b) if not f & b else None
                 if j is not None:
-                    row[j] = (-1) ** popcount(f & (b - 1))
+                    row[j] = (-1) ** (f & (b - 1)).bit_count()
             rows.append(row)
         ranks[c] = linalg.rank(rows, field)
     dims = {}
@@ -286,7 +286,7 @@ def relative_cohomology_by_elimination(
     ranks = [0] * (len(levels) + 1)
     for c in range(len(levels) - 1):
         matrix = [
-            [(-1) ** popcount(f & ((g ^ f) - 1)) if f & g == f else 0 for g in levels[c + 1]]
+            [(-1) ** (f & ((g ^ f) - 1)).bit_count() if f & g == f else 0 for g in levels[c + 1]]
             for f in levels[c]
         ]
         ranks[c] = dense_rank(matrix, field)
@@ -413,8 +413,8 @@ def _dense_coboundary(rows_terms: list, cols_terms: list) -> list:
         row = []
         for T in cols_terms:
             added = T & ~S
-            if S & ~T == 0 and popcount(added) == 1:
-                row.append((-1) ** popcount(S & (added - 1)))
+            if S & ~T == 0 and added.bit_count() == 1:
+                row.append((-1) ** (S & (added - 1)).bit_count())
             else:
                 row.append(0)
         matrix.append(row)

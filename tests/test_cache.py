@@ -99,12 +99,19 @@ def test_old_engine_stamp_misses(tmp_path):
     assert cache.lookup(d, I, Q) is None
 
 
+class RawText(str):
+    """A cache entry's text, planted as it stands rather than JSON-encoded."""
+
+
 def plant(d, I, doc):
     """Write `doc` where the cache entry of (I, Q) lives; return its path."""
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, cache.cache_key(I, Q) + ".json")
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        if isinstance(doc, RawText):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh)
     return path
 
 
@@ -157,9 +164,11 @@ def test_well_formed_planted_entry_is_served(tmp_path):
 H9 = {"engine": svtlab.ENGINE_VERSION, "entries": [{"i": 9, "pattern": ["x1"], "dim": 1}]}
 # a proper nonzero ideal has H^{ht I}_I(S) nonzero, so no table is empty
 NO_ENTRIES = {"engine": svtlab.ENGINE_VERSION, "entries": []}
+# valid JSON, but nested past what json.load reads without a RecursionError
+NESTED = RawText("[" * 100_000 + "]" * 100_000)
 
 
-@pytest.mark.parametrize("doc", [None, [], H9, NO_ENTRIES])
+@pytest.mark.parametrize("doc", [None, [], H9, NO_ENTRIES, pytest.param(NESTED, id="nested")])
 def test_analyze_recomputes_over_a_malformed_entry(tmp_path, capsys, doc):
     d = str(tmp_path / "cache")
     src = fixture_path("two_planes.json")

@@ -327,6 +327,34 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "input_error"
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ([{"variables": ["x"], "ideal": {"generators": [["x"]]}}], "the ideal document"),
+            ({"variables": ["x", "y"], "ideal": None}, "'ideal'"),
+            ({"variables": ["x", "y"], "ideal": "generators"}, "'ideal'"),
+        ],
+        ids=["top-level list", "null ideal", "string ideal"],
+    )
+    def test_non_object_names_its_place(self, capsys, tmp_path, doc, named):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "analyze", "--input", str(path), "--no-cache")
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "input_error"
+        assert error["message"] == f"{named} must be a JSON object"
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        # valid JSON, nested past what json.load reads without a RecursionError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = invoke(capsys, "analyze", "--input", str(path), "--no-cache")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "input_error", "message": f"{path} nests too deeply to read"
+        }
+
     def test_cap_exceeded(self, capsys):
         code, _, err = invoke(
             capsys, "cohomology", "--input", fixture_path("ex45_n3.json"), "--no-cache",

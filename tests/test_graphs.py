@@ -11,7 +11,6 @@ from svtlab.ideals import (
     dim_quotient,
     is_m_primary,
     minimal_primes,
-    popcount,
     sum_ideals,
 )
 from svtlab.graphs import (
@@ -179,7 +178,7 @@ class TestGamma:
         assert len(calls) <= 1
         assert len(G.vertices) == 64 and len(G.edges) == 192
         for i, j in G.edges:
-            assert popcount(G.vertices[i].variables ^ G.vertices[j].variables) == 2
+            assert (G.vertices[i].variables ^ G.vertices[j].variables).bit_count() == 2
 
 
 class TestConnectivityHelpers:

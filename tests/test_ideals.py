@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import context_of, proper_ideals
 from oracles import brute_force_facets, brute_force_intersection_supports
@@ -131,6 +131,16 @@ class TestMinimalPrimes:
         via_facets = sorted(full & ~F for F in brute_force_facets(I))
         assert via_transversals == via_facets
         assert stanley_reisner_facets(I) == tuple(brute_force_facets(I))
+
+    @given(proper_ideals(min_n=1, max_n=10, max_gens=12))
+    @settings(max_examples=150, deadline=None)
+    # the candidate x1x2 holds x1, which is kept for meeting x1x3: the
+    # smallest ideal whose search needs the filter against kept transversals
+    @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011, 0b101]))
+    def test_duality_at_the_engine_sizes(self, I):
+        full = I.context.full_mask
+        via_transversals = sorted(p.variables for p in minimal_primes(I))
+        assert via_transversals == sorted(full & ~F for F in brute_force_facets(I))
 
 
 class TestIsMPrimary:

@@ -18,7 +18,7 @@ from test_cech import projective_plane_ideal
 from svtlab import linalg, simplicial
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, VariableContext, bits, popcount
+from svtlab.ideals import SquareFreeIdeal, VariableContext, bits
 from svtlab.simplicial import (
     SimplicialComplex,
     complex_from_ideal,
@@ -42,45 +42,43 @@ class TestComplexBasics:
     def test_void_vs_empty(self):
         void = SimplicialComplex(3, ())
         empty = SimplicialComplex(3, (0,))
-        assert void.is_void and not void.is_empty
-        assert empty.is_empty and not empty.is_void
-        assert reduced_cohomology(void, Q) == {}
-        assert reduced_cohomology(empty, Q) == {-1: 1}
+        assert void.facets == () and empty.facets == (0,)
+        assert reduced_cohomology(void.facets, Q) == {}
+        assert reduced_cohomology(empty.facets, Q) == {-1: 1}
         assert reduced_euler_characteristic(void) == 0
         assert reduced_euler_characteristic(empty) == -1
 
     def test_no_facets_is_void(self):
         delta = SimplicialComplex(3, ())
         assert delta.facets == ()
-        assert delta.is_void and not delta.is_empty
         assert not delta.contains(0)
-        assert reduced_cohomology(delta, Q) == {}
+        assert reduced_cohomology(delta.facets, Q) == {}
 
     def test_from_maximal_ideal(self):
         ctx = context_of(2)
-        assert complex_from_ideal(SquareFreeIdeal.maximal(ctx)).is_empty
+        assert complex_from_ideal(SquareFreeIdeal.maximal(ctx)).facets == (0,)
 
     def test_two_points(self):
         ctx = context_of(2)
         I = SquareFreeIdeal.from_supports(ctx, [0b11])  # (x1*x2)
         delta = complex_from_ideal(I)
         assert sorted(delta.facets) == [0b01, 0b10]
-        assert reduced_cohomology(delta, Q) == {0: 1}
+        assert reduced_cohomology(delta.facets, Q) == {0: 1}
 
     def test_full_simplex_acyclic(self):
         delta = SimplicialComplex(3, (0b111,))
-        assert reduced_cohomology(delta, Q) == {}
+        assert reduced_cohomology(delta.facets, Q) == {}
 
     def test_hollow_triangle_is_circle(self):
         ctx = context_of(3)
         I = SquareFreeIdeal.from_supports(ctx, [0b111])
-        assert reduced_cohomology(complex_from_ideal(I), Q) == {1: 1}
+        assert reduced_cohomology(complex_from_ideal(I).facets, Q) == {1: 1}
 
     def test_disjoint_edges(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
         # complex = two disjoint edges
-        assert reduced_cohomology(complex_from_ideal(I), Q) == {0: 1}
+        assert reduced_cohomology(complex_from_ideal(I).facets, Q) == {0: 1}
 
 
 class TestLink:
@@ -105,7 +103,7 @@ class TestLink:
         ctx = context_of(2)
         I = SquareFreeIdeal.from_supports(ctx, [0b11])
         delta = complex_from_ideal(I)
-        assert link(delta, 0b01).is_empty
+        assert link(delta, 0b01).facets == (0,)
 
     def test_link_in_hollow_triangle(self):
         ctx = context_of(3)
@@ -115,7 +113,6 @@ class TestLink:
         assert sorted(lk.facets) == [0b010, 0b100]
 
     def test_public_constructor_rejects_redundant_facets(self):
-        # links skip the check; a complex built from outside still gets it
         with pytest.raises(ValueError, match="irredundant"):
             SimplicialComplex(3, (0b011, 0b001))
         with pytest.raises(ValueError, match="irredundant"):
@@ -128,7 +125,7 @@ class TestEuler:
     @settings(max_examples=80, deadline=None)
     def test_euler_equals_alternating_betti(self, I):
         delta = complex_from_ideal(I)
-        coh = reduced_cohomology(delta, Q)
+        coh = reduced_cohomology(delta.facets, Q)
         assert reduced_euler_characteristic(delta) == sum(
             (-1) ** d * b for d, b in coh.items()
         )
@@ -140,7 +137,7 @@ class TestEuler:
         delta = complex_from_ideal(I)
         n = delta.n
         cone = SimplicialComplex(n + 1, tuple(F | (1 << n) for F in delta.facets))
-        assert reduced_cohomology(cone, Q) == {}
+        assert reduced_cohomology(cone.facets, Q) == {}
         assert reduced_euler_characteristic(cone) == 0
 
 
@@ -214,8 +211,8 @@ class TestFieldDependence:
         ]
         facets = tuple(sum(1 << (v - 1) for v in t) for t in triangles)
         delta = SimplicialComplex(6, facets)
-        over_q = reduced_cohomology(delta, FieldSpec(0))
-        over_f2 = reduced_cohomology(delta, FieldSpec(2))
+        over_q = reduced_cohomology(delta.facets, FieldSpec(0))
+        over_f2 = reduced_cohomology(delta.facets, FieldSpec(2))
         assert over_q.get(2, 0) == 0
         assert over_f2.get(2, 0) == 1
         assert over_f2.get(1, 0) == 1
@@ -262,7 +259,7 @@ class TestSkippedLinks:
         calls = []
 
         def spy(lk, fld, max_degree=None):
-            calls.append(lk.facets)
+            calls.append(lk)
             return reduced_cohomology(lk, fld, max_degree)
 
         monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
@@ -288,7 +285,7 @@ class TestSkippedLinks:
         assert reduced_cohomology_by_elimination(cone) == {}
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("a cone needs no rank"))
-            assert reduced_cohomology(cone, Q) == {}
+            assert reduced_cohomology(cone.facets, Q) == {}
 
 
 def _two_planes():
@@ -391,7 +388,7 @@ class TestStarLemma:
     # the real projective plane: 2-torsion, H~^1 and H~^2 over GF(2) only
     @example(delta=_RP2)
     def test_equals_elimination_on_every_face(self, field, delta):
-        assert reduced_cohomology(delta, field) == reduced_cohomology_by_elimination(
+        assert reduced_cohomology(delta.facets, field) == reduced_cohomology_by_elimination(
             delta, field
         )
 
@@ -410,7 +407,7 @@ class TestStarLemma:
         with pytest.MonkeyPatch.context() as m:
             if max_degree <= 0:
                 m.setattr(linalg, "rank", lambda *a: pytest.fail("degree 0 needs no rank"))
-            bounded = reduced_cohomology(delta, field, max_degree)
+            bounded = reduced_cohomology(delta.facets, field, max_degree)
         assert bounded == {d: h for d, h in full.items() if d <= max_degree}
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -418,7 +415,7 @@ class TestStarLemma:
         # every face but the one opposite v lies in st v: one face, no coboundary
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("one face needs no rank"))
-            assert reduced_cohomology(_simplex_boundary(n), Q) == {n - 2: 1}
+            assert reduced_cohomology(_simplex_boundary(n).facets, Q) == {n - 2: 1}
 
 
 @st.composite
