@@ -39,8 +39,8 @@ k = 1..i,
 
     rk_k = T(k, N) - h^{k-2} + T(k-1, N \\ {j}) - rk_{k-1}.
 
-No cohomology basis is built, and a map is onto iff its rank equals the
-target's entry in the table.
+So h is computed only up to degree i - 2.  No cohomology basis is built,
+and a map is onto iff its rank equals the target's entry in the table.
 
 A CohomologyTable carries its ideal and field, and everything read off it
 takes the table alone.  The variable cap is checked where a table is made:
@@ -60,6 +60,7 @@ from .ideals import (
     SquareFreeMonomial,
     VariableContext,
     bits,
+    require_analyzable,
 )
 
 
@@ -186,8 +187,7 @@ def local_cohomology_table(
     disjoint from some generator's support (K_N is then the full simplex
     on N).
     """
-    if not I.is_proper or I.is_zero:
-        raise ValueError("local cohomology table needs a proper nonzero ideal")
+    require_analyzable(I)
     limits.check(I.context)
     # misses[j]: the generators whose support does not contain variable j
     misses = [
@@ -260,7 +260,7 @@ def multiplication_rank(table: CohomologyTable, i: int, variable: int, pattern: 
         return 0
     # the faces of K_N outside K_{N \ {j}} are those holding j
     outside = [f for f in _facets(I, pattern) if f & b]
-    h = simplicial.relative_cohomology(outside, _facets(I, target), table.field)
+    h = simplicial.relative_cohomology(outside, _facets(I, target), table.field, i - 2)
     rank = 0
     for k in range(1, i + 1):
         rank = table.dim(k, pattern) - h.get(k - 2, 0) + table.dim(k - 1, target) - rank

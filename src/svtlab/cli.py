@@ -15,14 +15,7 @@ from typing import Optional
 from . import analysis, cache, cech, graphs
 from .cech import EngineLimits
 from .fields import FieldSpec
-from .ideals import (
-    CapExceededError,
-    ContextMismatchError,
-    IdealDomainError,
-    SquareFreeIdeal,
-    SquareFreeMonomial,
-    VariableContext,
-)
+from .ideals import CapExceededError, SquareFreeIdeal, SquareFreeMonomial, VariableContext
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,7 +59,9 @@ def parse_ideal_document(doc: dict) -> SquareFreeIdeal:
             return SquareFreeIdeal.intersection_of_primes(
                 context, _json_list(spec, "intersection_of_primes", list)
             )
-    except (KeyError, TypeError, ValueError) as e:
+    except KeyError as e:  # "variables" and "ideal" are the keys read unchecked
+        raise InputError(f"the ideal document has no {e} key") from e
+    except (TypeError, ValueError) as e:
         raise InputError(str(e)) from e
     raise InputError("ideal needs either 'generators' or 'intersection_of_primes'")
 
@@ -354,7 +349,7 @@ def main(argv: Optional[list] = None) -> int:
     except CapExceededError as e:
         _error("cap_exceeded", str(e))
         return EXIT_CAPS
-    except (InputError, IdealDomainError, ContextMismatchError, ValueError) as e:
+    except ValueError as e:
         _error("input_error", str(e))
         return EXIT_INPUT
     except OSError as e:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import ideals
 from .ideals import SquareFreeIdeal, minimal_primes
 
 THETA = "theta"
@@ -75,22 +76,17 @@ def gamma_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
     return ConnectivityGraph(GAMMA, top, frozenset(edges))
 
 
-def is_connected(G: ConnectivityGraph) -> bool:
-    """Union-find connectivity; a single vertex is connected."""
+def components(G: ConnectivityGraph) -> int:
+    """The number of connected components; the empty graph raises."""
     t = len(G.vertices)
     if t == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    parent = list(range(t))
+    return ideals.components([1 << v for v in range(t)] + [1 << i | 1 << j for i, j in G.edges])
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for i, j in G.edges:
-        parent[find(i)] = find(j)
-    return len({find(i) for i in range(t)}) == 1
+def is_connected(G: ConnectivityGraph) -> bool:
+    """A single vertex is connected."""
+    return components(G) == 1
 
 
 def punctured_spectrum_connected(I: SquareFreeIdeal) -> bool:

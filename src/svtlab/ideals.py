@@ -38,6 +38,22 @@ def bits(mask: int) -> list:
     return out
 
 
+def components(masks) -> int:
+    """The number of connected components of the nonzero `masks`, two masks
+    joined when they share a bit."""
+    count, left = 0, list(masks)
+    while left:
+        reach, before = left[0], 0
+        while reach != before:
+            before = reach
+            for f in left:
+                if f & reach:
+                    reach |= f
+        left = [f for f in left if not f & reach]
+        count += 1
+    return count
+
+
 @dataclass(frozen=True)
 class VariableContext:
     """The ambient polynomial ring k[names[0], ..., names[n-1]]."""
@@ -53,10 +69,10 @@ class VariableContext:
             raise CapExceededError(
                 f"{len(names)} variables exceeds the context cap {DEFAULT_MAX_VARS}"
             )
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be distinct")
         if any(not isinstance(s, str) or not s for s in names):
             raise ValueError("variable names must be non-empty strings")
+        if len(set(names)) != len(names):
+            raise ValueError("variable names must be distinct")
 
     @property
     def n(self) -> int:
@@ -169,10 +185,6 @@ class SquareFreeIdeal:
         return self.generators == (0,)
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def r(self) -> int:
         return len(self.generators)
 
@@ -218,11 +230,8 @@ class CoordinatePrime:
     def height(self) -> int:
         return self.variables.bit_count()
 
-    def names(self) -> tuple:
-        return self.context.names_of(self.variables)
-
     def label(self) -> str:
-        return "P{" + ",".join(self.names()) + "}"
+        return "P{" + ",".join(self.context.names_of(self.variables)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +251,7 @@ def sum_ideals(I: SquareFreeIdeal, J: SquareFreeIdeal) -> SquareFreeIdeal:
     return SquareFreeIdeal(I.context, I.generators + J.generators)
 
 
-def _require_analyzable(I: SquareFreeIdeal):
+def require_analyzable(I: SquareFreeIdeal):
     if I.is_zero:
         raise IdealDomainError("the zero ideal is not accepted here")
     if I.is_unit:
@@ -276,7 +285,7 @@ def minimal_primes(I: SquareFreeIdeal) -> tuple:
     cap applies: after each generator the transversal search holds an
     antichain of variable sets, by Sperner's theorem at most C(n, n // 2).
     """
-    _require_analyzable(I)
+    require_analyzable(I)
     return I._minimal_primes
 
 
@@ -297,7 +306,7 @@ def stanley_reisner_facets(I: SquareFreeIdeal) -> tuple:
     suite checks them against a direct enumeration of all 2^n subsets,
     which is the independent route.
     """
-    _require_analyzable(I)
+    require_analyzable(I)
     full = I.context.full_mask
     return tuple(sorted(full & ~p.variables for p in I._minimal_primes))
 

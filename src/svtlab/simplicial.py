@@ -40,7 +40,7 @@ from typing import Dict, Tuple
 
 from . import linalg
 from .fields import FieldSpec
-from .ideals import SquareFreeIdeal, stanley_reisner_facets
+from .ideals import SquareFreeIdeal, components, stanley_reisner_facets
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def reduced_cohomology(facets: tuple, field: FieldSpec, max_degree=None) -> Dict
     if not facets:
         return {}
     if max_degree == 0:
-        extra = _components(facets) - 1
+        extra = components(facets) - 1
         return {0: extra} if extra else {}
     counts = [0] * max(facets).bit_length()
     for f in facets:
@@ -186,21 +186,6 @@ def reduced_cohomology(facets: tuple, field: FieldSpec, max_degree=None) -> Dict
     return relative_cohomology(
         [f for f in facets if not f & v], [f for f in facets if f & v], field, max_degree
     )
-
-
-def _components(facets: tuple) -> int:
-    """The number of connected components of the complex on these nonempty facets."""
-    count, left = 0, list(facets)
-    while left:
-        reach, before = left[0], 0
-        while reach != before:
-            before = reach
-            for f in left:
-                if f & reach:
-                    reach |= f
-        left = [f for f in left if not f & reach]
-        count += 1
-    return count
 
 
 def hochster_table(I: SquareFreeIdeal, field: FieldSpec, below=None) -> Dict[Tuple[int, int], int]:

@@ -6,6 +6,7 @@ enumeration, dense Gaussian elimination over Fraction or ints mod p)
 without touching the production code paths it checks.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -172,6 +173,26 @@ def brute_force_quotient_height(I: SquareFreeIdeal, prime_mask: int) -> int:
     if prime_mask not in cset:
         raise ValueError("prime does not contain I")
     return depth(prime_mask)
+
+
+def bfs_components(vertex_count: int, edges) -> int:
+    """Connected components of a graph on 0..vertex_count-1, by breadth-first search."""
+    neighbours = {v: set() for v in range(vertex_count)}
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    seen, count = set(), 0
+    for start in range(vertex_count):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()] - seen:
+                seen.add(w)
+                queue.append(w)
+    return count
 
 
 def _contains_minimal_prime(I: SquareFreeIdeal, P: int) -> bool:

@@ -528,6 +528,28 @@ class TestMultiplicationOnTheDowkerSide:
         assert all(table.dim(7, full & ~(1 << j)) == 1 for j in range(8))
 
     @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
+    def test_pair_is_taken_only_up_to_degree_i_minus_2(self, monkeypatch, field):
+        # the recurrence reads h^{k-2} for k <= i and no higher degree
+        with open(fixture_path("k8_edges.json")) as fh:
+            I = parse_ideal_document(json.load(fh))
+        table = local_cohomology_table(I, field)
+        full = I.context.full_mask
+        expected = [multiplication_rank_by_three_ranks(I, i, 0, full, field) for i in range(10)]
+        bounds = []
+        real = simplicial.relative_cohomology
+
+        def spy(outside, inside, field, max_degree=None):
+            h = real(outside, inside, field, max_degree)
+            bounds.append(max_degree)
+            assert all(d <= max_degree for d in h)
+            return h
+
+        monkeypatch.setattr(simplicial, "relative_cohomology", spy)
+        assert [multiplication_rank(table, i, 0, full) for i in range(10)] == expected
+        assert bounds == [i - 2 for i in range(10)]
+        assert expected[7] == 1
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec(2)], ids=lambda f: f.label())
     @pytest.mark.parametrize("name", ["k8_edges", "subsets"])
     def test_every_map_equals_three_rank_reference(self, field, name):
         # r = 28 and r = 70: beyond the reach of the 2^r Cech oracle

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 
 import pytest
@@ -345,6 +348,41 @@ class TestExitCodes:
         assert error["error"] == "input_error"
         assert error["message"] == f"{named} must be a JSON object"
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"ideal": {"generators": [["x"]]}}, "variables"),
+            ({"variables": ["x"]}, "ideal"),
+        ],
+        ids=["no variables", "no ideal"],
+    )
+    def test_missing_key_is_named(self, capsys, tmp_path, doc, key):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "analyze", "--input", str(path), "--no-cache")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "input_error", "message": f"the ideal document has no '{key}' key"
+        }
+
+    @pytest.mark.parametrize(
+        "generators, kind", [([], "zero"), ([[]], "unit")], ids=["zero", "unit"]
+    )
+    def test_zero_and_unit_ideals_share_one_message(self, capsys, tmp_path, generators, kind):
+        names = ["x1", "x2", "x3"]
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps({"variables": names, "ideal": {"generators": generators}}))
+        good.write_text(json.dumps({"variables": names, "ideal": {"generators": [["x1", "x2"]]}}))
+        expected = {"error": "input_error", "message": f"the {kind} ideal is not accepted here"}
+        for argv in (
+            ["analyze", "--input", str(bad), "--no-cache"],
+            ["mv", "--input", str(bad), "--second", str(good)],
+            ["mv", "--input", str(good), "--second", str(bad)],
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 1 and out == ""
+            assert json.loads(err) == expected
+
     def test_deeply_nested_document(self, capsys, tmp_path):
         # valid JSON, nested past what json.load reads without a RecursionError
         path = tmp_path / "nested.json"
@@ -564,3 +602,41 @@ class TestWriter:
         )
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_READERS = [
+    ["analyze", "--no-cache"],
+    ["cohomology", "--no-cache"],
+    ["svt", "--no-cache"],
+    ["graph", "--kind", "theta"],
+    ["surjectivity", "--degree", "1", "--monomial", "x", "--no-cache"],
+    ["mv", "--second"],  # the document itself follows
+]
+
+
+class TestVariableNames:
+    """Names are checked to be non-empty strings before they are checked
+    to be distinct, so an unhashable name reads as a rule, not a TypeError."""
+
+    @given(value=_values, command=st.sampled_from(_READERS))
+    @settings(max_examples=150, deadline=None)
+    @example(value=[1], command=_READERS[0])
+    @example(value={"x": 1}, command=_READERS[0])
+    @example(value="", command=_READERS[0])
+    def test_any_json_value_among_the_variables(self, value, command):
+        doc = {"variables": ["x", value, "x"], "ideal": {"generators": [["x"]]}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "names.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                argv = command + [path] if command[0] == "mv" else command
+                code = main(argv + ["--input", path])
+        assert code == 1 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        rule = "distinct" if isinstance(value, str) and value else "non-empty strings"
+        assert json.loads(lines[0]) == {
+            "error": "input_error", "message": f"variable names must be {rule}"
+        }

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import context_of, proper_ideals
-from oracles import brute_force_quotient_height, prime_ideal
+from conftest import context_of, proper_ideals, seeded_random_ideals
+from oracles import bfs_components, brute_force_quotient_height, prime_ideal
 
 from svtlab import graphs
 from svtlab.ideals import (
+    CoordinatePrime,
     SquareFreeIdeal,
     VariableContext,
     dim_quotient,
@@ -16,7 +20,9 @@ from svtlab.ideals import (
 from svtlab.graphs import (
     GAMMA,
     THETA,
+    ConnectivityGraph,
     _quotient_height,
+    components,
     gamma_graph,
     is_connected,
     punctured_spectrum_connected,
@@ -34,6 +40,18 @@ def primes(ctx, *lists):
 TWO_PLANES_AND_A_LINE = primes(
     context_of(5), ["x1", "x2", "x4", "x5"], ["x1", "x3", "x4"], ["x2", "x3", "x5"]
 )
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on 1..12 vertices with at most twice as many edges, so often
+    with isolated vertices and several components."""
+    t = draw(st.integers(1, 12))
+    ends = st.integers(0, t - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * t))
+    edges = frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
+    vertices = tuple(CoordinatePrime(context_of(t), 1 << v) for v in range(t))
+    return ConnectivityGraph(THETA, vertices, edges)
 
 
 def quotient_height(I, mask):
@@ -188,3 +206,37 @@ class TestConnectivityHelpers:
         dot = to_dot(theta_graph(I))
         assert dot.startswith("graph")
         assert 'P{x1,x2}' in dot and "v0 -- v1" in dot
+
+
+class TestComponents:
+    @given(sparse_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_breadth_first_search(self, G):
+        count = bfs_components(len(G.vertices), G.edges)
+        assert components(G) == count
+        assert is_connected(G) == (count == 1)
+
+    def test_theta_and_gamma_of_seeded_ideals(self):
+        rng = random.Random(18)
+        sample = []
+        for n in range(3, 8):
+            sample += seeded_random_ideals(n, 40, seed=n)
+            for _ in range(40):
+                lists = [rng.sample(context_of(n).names, rng.randint(1, n - 1))
+                         for _ in range(rng.randint(1, 4))]
+                sample.append(primes(context_of(n), *lists))
+        counts = {THETA: set(), GAMMA: set()}
+        for I in sample:
+            for G in (theta_graph(I), gamma_graph(I)):
+                count = components(G)
+                assert count == bfs_components(len(G.vertices), G.edges)
+                counts[G.kind].add(count)
+        # the sample is not all connected, on either graph
+        assert counts[THETA] >= {1, 2, 3} and counts[GAMMA] >= {1, 2}
+
+    def test_empty_graph_raises(self):
+        G = ConnectivityGraph(THETA, (), frozenset())
+        with pytest.raises(ValueError):
+            components(G)
+        with pytest.raises(ValueError):
+            is_connected(G)

@@ -84,7 +84,7 @@ class TestSum:
     def test_example_43_sum_proper(self):
         ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
         s = sum_ideals(primes(ctx, ["x1", "x2", "x3"]), primes(ctx, ["y1", "y2", "y3"]))
-        assert s.is_proper
+        assert not s.is_unit
         assert not is_m_primary(s)  # y4 is missing
 
     def test_zero_neutral(self):
