@@ -173,23 +173,11 @@ def mayer_vietoris_check(
     per pattern, the alternating sum of dims of H^i_{I+J}, H^i_I + H^i_J,
     H^i_{I cap J} must cancel.  I cap J is zero, or I + J the unit ideal,
     only when I or J is, so the tables of I and J refuse those first."""
-    S = sum_ideals(I, J)
-    C = intersect(I, J)
-    tI = cech.local_cohomology_table(I, field, limits)
-    tJ = cech.local_cohomology_table(J, field, limits)
-    tS = cech.local_cohomology_table(S, field, limits)
-    tC = cech.local_cohomology_table(C, field, limits)
-    patterns = {p for t in (tI, tJ, tS, tC) for (_, p) in t.dims}
-    top = max((i for t in (tI, tJ, tS, tC) for (i, _) in t.dims), default=0)
-    for p in patterns:
-        total = 0
-        for i in range(top + 1):
-            total += (-1) ** i * (
-                tS.dim(i, p) - tI.dim(i, p) - tJ.dim(i, p) + tC.dim(i, p)
-            )
-        if total != 0:
-            return False
-    return True
+    total: Dict[int, int] = {}
+    for sign, K in ((-1, I), (-1, J), (1, sum_ideals(I, J)), (1, intersect(I, J))):
+        for (i, p), d in cech.local_cohomology_table(K, field, limits).dims.items():
+            total[p] = total.get(p, 0) + sign * (-1) ** i * d
+    return not any(total.values())
 
 
 def random_square_free_ideal(

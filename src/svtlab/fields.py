@@ -11,8 +11,8 @@ of multiplication by x_j on H^i: it is the restriction from the complex
 of the source pattern to its induced subcomplex on the target, so its
 rank follows from the relative cohomology of the pair and the table by
 exactness (cech states the recurrence).  linalg takes every rank with one
-sparse elimination: fraction-free on integers over Q, on native ints mod
-p over GF(p).
+incremental sparse echelon: fraction-free on integers over Q, on native
+ints mod p over GF(p) with each kept row scaled to a leading 1.
 """
 
 from __future__ import annotations

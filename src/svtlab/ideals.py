@@ -159,10 +159,6 @@ class SquareFreeIdeal:
         return cls(context, tuple(context.mask_of(g) for g in lists))
 
     @classmethod
-    def zero(cls, context: VariableContext) -> "SquareFreeIdeal":
-        return cls(context, ())
-
-    @classmethod
     def maximal(cls, context: VariableContext) -> "SquareFreeIdeal":
         return cls(context, tuple(1 << i for i in range(context.n)))
 
@@ -241,8 +237,6 @@ class CoordinatePrime:
 def intersect(I: SquareFreeIdeal, J: SquareFreeIdeal) -> SquareFreeIdeal:
     """Set-theoretic intersection: pairwise lcms (support unions), minimized."""
     _check_context(I, J)
-    if I.is_zero or J.is_zero:
-        return SquareFreeIdeal.zero(I.context)
     return SquareFreeIdeal(I.context, tuple(g | h for g in I.generators for h in J.generators))
 
 
@@ -290,9 +284,8 @@ def minimal_primes(I: SquareFreeIdeal) -> tuple:
 
 
 def is_m_primary(I: SquareFreeIdeal) -> bool:
-    """True iff sqrt(I) is the maximal ideal, i.e. every variable is a generator."""
-    if I.is_unit:
-        raise IdealDomainError("the unit ideal is not accepted here")
+    """True iff sqrt(I) is the maximal ideal, i.e. every variable is a generator;
+    False for the zero and the unit ideal, which have no single-variable one."""
     singles = {g for g in I.generators if g.bit_count() == 1}
     return len(singles) == I.context.n
 

@@ -1,23 +1,32 @@
-"""Exact linear algebra over Q and GF(p): one sparse elimination.
+"""Exact linear algebra over Q and GF(p): one incremental echelon.
 
 Matrices are stored as lists of sparse rows (dict column -> int).
 `rank` is the only operation, and simplicial.relative_cohomology its one
 caller: every cohomology dimension is a count of faces plus and minus
 ranks of sparse coboundary matrices, and the rank of every multiplication
-map follows from such dimensions by exactness, so no kernel basis or
-echelon form is kept.
+map follows from such dimensions by exactness, so no kernel basis is kept.
 
-The elimination is the same for both fields.  Zero entries are dropped
-first (over GF(p) after reducing mod p: entries stay ints in 0..p-1),
-and at most one row left is its own rank.  Each step pivots on the
-shortest live row: over GF(p) on its first entry, over Q on its entry of
-smallest absolute value.  A row meeting the pivot column loses
-``f * pivot_row``, with ``f = w * pv^-1 mod p`` over GF(p) and ``f = w // pv``
-over Q when the pivot divides the entry ``w``.  Otherwise, over Q, the row
-is scaled by the pivot first (``row <- pv*row - w*pivot_row``) and divided
-by the gcd of its entries, which keeps everything in Z (fraction-free)
-without changing the rank.  A column -> rows index finds the rows to
-update, so a step touches only the rows that meet the pivot column.
+The elimination is the textbook one, the same for both fields.  Each row
+is copied without its zero entries (over GF(p) after reducing mod p:
+entries stay ints in 0..p-1) and reduced, at its leading (smallest)
+column, against the kept row that starts there.  A row that reaches a
+column no kept row starts at is kept; one that reaches zero is dependent.
+The rank is the number of kept rows.  Let w and pv be the leading
+entries of the row and the kept row.  Over GF(p) a kept row is scaled to
+a leading 1 (one modular inverse per kept row) and a reduction is
+``row - w * kept``.  Over Q it is ``(pv/g) * row - (w/g) * kept`` with
+``g = gcd(w, pv)``, and the row is then divided by the gcd of its
+entries, so every entry stays an integer (fraction-free).
+
+It is sized for the matrices the engine builds, which the star lemma
+keeps small.  On the benchmark's seed-1 pools the largest has 12 rows
+(cold analyze), 27 (warm analyze, median 1) and 6 (sweep); no command on
+a fixture, its multiplication maps included, ranks more than 35 rows.
+No pivot search or column index pays for itself there.  Row order is not
+chosen to limit fill-in, so the 715 x 1287 full-skeleton coboundary at
+n = 13 takes 0.075 s over Q (0.060 s over GF(2)) against 0.040 s for an
+elimination pivoting on the shortest row (CPython 3.11, one Xeon core).
+No command builds such a matrix.
 """
 
 from __future__ import annotations
@@ -33,60 +42,34 @@ SparseMatrix = list
 def rank(rows: SparseMatrix, field: FieldSpec) -> int:
     """Rank of a sparse integer matrix over `field`; `rows` is left unchanged."""
     p = field.characteristic
-    if p:
-        rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
-    else:
-        rows = [{c: v for c, v in r.items() if v} for r in rows]
-    rows = [r for r in rows if r]
-    if len(rows) <= 1:
-        return len(rows)
-    col_rows: dict = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    alive = set(range(len(rows)))
-    rnk = 0
-    while alive:
-        pi = min(alive, key=lambda i: len(rows[i]))
-        prow = rows[pi]
-        if p:
-            pc = next(iter(prow))
-            pinv = pow(prow[pc], p - 2, p)
-        else:
-            pc = min(prow, key=lambda c: abs(prow[c]))
-        pv = prow[pc]
-        alive.discard(pi)
-        for c in prow:
-            col_rows[c].discard(pi)
-        rnk += 1
-        for j in [j for j in col_rows[pc] if j in alive]:
-            row = rows[j]
-            w = row[pc]
-            scaled = False
-            if p:
-                f = w * pinv % p
-            elif w % pv == 0:
-                f = w // pv
-            else:
-                scaled, f = True, w
-                for c in row:
-                    row[c] *= pv
-            for c, v in prow.items():
+    kept: dict = {}  # leading column -> the kept row that starts there
+    for r in rows:
+        row = {c: v % p for c, v in r.items() if v % p} if p else {c: v for c, v in r.items() if v}
+        while row:
+            lead = min(row)
+            pivot = kept.get(lead)
+            if pivot is None:
+                if p:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                kept[lead] = row
+                break
+            f, pv = row[lead], pivot[lead]
+            if not p:
+                g = gcd(f, pv)
+                f //= g
+                if pv != g:
+                    row = {c: v * (pv // g) for c, v in row.items()}
+            for c, v in pivot.items():
                 nv = row.get(c, 0) - f * v
                 if p:
                     nv %= p
                 if nv:
-                    if c not in row:
-                        col_rows[c].add(j)
                     row[c] = nv
-                elif c in row:
+                else:
                     del row[c]
-                    col_rows[c].discard(j)
-            if not row:
-                alive.discard(j)
-            elif scaled:
+            if not p and row:
                 g = gcd(*row.values())
                 if g > 1:
-                    for c in row:
-                        row[c] //= g
-    return rnk
+                    row = {c: v // g for c, v in row.items()}
+    return len(kept)

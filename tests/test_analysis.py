@@ -121,6 +121,25 @@ class TestMayerVietoris:
         q2 = primes(ctx, ["y1", "y2", "y3"])
         assert mayer_vietoris_check(q1, q2, Q)
 
+    @pytest.mark.parametrize("lossy_call", range(4))
+    def test_fails_when_one_table_loses_an_entry(self, monkeypatch, lossy_call):
+        # the tables are made for I, J, I + J and I cap J, in that order
+        ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
+        q1 = primes(ctx, ["x1", "x2", "x3"])
+        q2 = primes(ctx, ["y1", "y2", "y3"])
+        real, calls = cech.local_cohomology_table, []
+
+        def lossy(*args):
+            table = real(*args)
+            if len(calls) == lossy_call:
+                del table.dims[min(table.dims)]
+            calls.append(table)
+            return table
+
+        monkeypatch.setattr(cech, "local_cohomology_table", lossy)
+        assert not mayer_vietoris_check(q1, q2, Q)
+        assert len(calls) == 4
+
     def test_rejects_unit_input(self):
         ctx = context_of(2)
         unit = SquareFreeIdeal.from_supports(ctx, [0])

@@ -20,6 +20,18 @@ def small_int_matrices(draw):
     return draw(st.lists(row, max_size=12))
 
 
+@st.composite
+def large_entry_matrices(draw):
+    """Dense matrices up to 8 x 8 with entries in -5..5 or within 5 of +-10^30."""
+    m = draw(st.integers(1, 8))
+    entry = st.one_of(
+        st.integers(-5, 5),
+        st.integers(10**30 - 5, 10**30 + 5),
+        st.integers(-(10**30) - 5, -(10**30) + 5),
+    )
+    return draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=8))
+
+
 class TestFieldSpec:
     def test_parse(self):
         assert FieldSpec.parse("0").characteristic == 0
@@ -104,6 +116,20 @@ class TestRank:
         sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
         assert rank(sparse, field) == dense_rank(dense, field)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            9223372036854775783,  # the largest prime below 2^63
+            999999999999999999999743,  # the largest prime below 10^24
+        ],
+    )
+    @given(dense=large_entry_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_rank_at_large_characteristic(self, p, dense):
+        field = FieldSpec(p)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert rank(sparse, field) == dense_rank(dense, field)
+
     def test_explicit_zero_entries(self):
         Q = FieldSpec(0)
         assert rank([{0: 0}], Q) == 0
@@ -128,7 +154,7 @@ class TestRank:
     @given(row=st.lists(st.integers(-4, 4), max_size=12), zero_rows=st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
     def test_one_nonzero_row_with_zeros_kept(self, field, row, zero_rows):
-        # at most one nonzero row after cleaning: the early return
+        # at most one nonzero row once the zeros are dropped
         sparse = [dict(enumerate(row))] + [{0: 0, 1: field.characteristic}] * zero_rows
         dense = [row] + [[0] * len(row)] * zero_rows if row else []
         assert rank(sparse, field) == dense_rank(dense, field)

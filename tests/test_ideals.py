@@ -90,7 +90,14 @@ class TestSum:
     def test_zero_neutral(self):
         ctx = context_of(3)
         I = SquareFreeIdeal.from_supports(ctx, [0b011])
-        assert sum_ideals(I, SquareFreeIdeal.zero(ctx)) == I
+        assert sum_ideals(I, SquareFreeIdeal(ctx, ())) == I
+
+    def test_intersect_with_zero(self):
+        ctx = context_of(3)
+        I = SquareFreeIdeal.from_supports(ctx, [0b011, 0b100])
+        zero = SquareFreeIdeal(ctx, ())
+        assert intersect(I, zero).is_zero
+        assert intersect(zero, I).is_zero
 
 
 class TestMinimalPrimes:
@@ -115,7 +122,7 @@ class TestMinimalPrimes:
     def test_rejects_zero_and_unit(self):
         ctx = context_of(3)
         with pytest.raises(IdealDomainError):
-            minimal_primes(SquareFreeIdeal.zero(ctx))
+            minimal_primes(SquareFreeIdeal(ctx, ()))
         with pytest.raises(IdealDomainError):
             minimal_primes(SquareFreeIdeal.from_supports(ctx, [0]))
 
@@ -161,6 +168,11 @@ class TestIsMPrimary:
         assert not is_m_primary(sum_ideals(p, q))
         r = primes(ctx, ["x3", "x4"])
         assert is_m_primary(sum_ideals(p, r))
+
+    def test_zero_and_unit_are_not_m_primary(self):
+        ctx = context_of(3)
+        assert not is_m_primary(SquareFreeIdeal(ctx, ()))
+        assert not is_m_primary(SquareFreeIdeal.from_supports(ctx, [0]))
 
 
 class TestStanleyReisner:
