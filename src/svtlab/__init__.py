@@ -5,4 +5,4 @@ __version__ = "0.1.0"
 
 # Stamped on every cache entry; bump it whenever the table engine changes,
 # so entries written by an older engine are recomputed, not served.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"

@@ -8,11 +8,14 @@ inverted variables).  So the degree-a piece of the Cech complex depends
 on a only through N = {j : a_j < 0}, and one finite sign complex per
 "negativity pattern" N computes every graded piece of H^i_I(S).
 
-Per pattern N, position k of that complex carries the k-subsets T of the
-generators with N contained in the union of their supports.  The other
-subsets, those missing some j in N, form the simplicial complex on the
-generators with facets {t : j not in supp(f_t)} for j in N, and the long
-exact sequence against the (acyclic) full simplex gives
+The table is built by one of two walks over the same entries.
+
+The pattern walk (pattern_table).  Per pattern N, position k of that
+complex carries the k-subsets T of the generators with N contained in
+the union of their supports.  The other subsets, those missing some j in
+N, form the simplicial complex on the generators with facets
+{t : j not in supp(f_t)} for j in N, and the long exact sequence against
+the (acyclic) full simplex gives
 
     H^i_I(S)_N = H~^{i-2}({t : j not in supp(f_t)}, j in N),
 
@@ -21,11 +24,25 @@ ideals", J. Symbolic Comput. 29, 2000) read on the generators.  By
 Dowker's theorem (C. H. Dowker, "Homology groups of relations", Ann. of
 Math. 56, 1952) the complex K_N on the variables of N with facets
 N \\ supp(f_t), built from the same relation "j misses supp(f_t)", has the
-same cohomology.  local_cohomology_table computes every class on K_N
-with simplicial.reduced_cohomology, and keys its memo by the
-generator-side facets: patterns that share them share their cohomology,
-so each class is computed once per table call.  Ranks are taken exactly
-(integer elimination over Q, or mod p).
+same cohomology.  The walk computes every class on K_N with
+simplicial.reduced_cohomology, and keys its memo by the generator-side
+facets: patterns that share them share their cohomology, so each class is
+computed once per table.
+
+The Hochster walk.  Mustata's formula read through local duality is
+Hochster's: dim H^i_I(S)_N = dim H^{n-i}_m(S/I)_{[n] \\ N} (M. Hochster,
+"Cohen-Macaulay rings, combinatorics, and simplicial complexes", 1977).
+So the table is simplicial.hochster_table(I, field) reindexed
+(i, F) -> (n - i, [n] \\ F), a walk over the links of the intersections of
+the t facets of the Stanley-Reisner complex, that is of the t minimal
+primes.
+
+local_cohomology_table takes the Hochster walk when t <= 2r and the
+pattern walk otherwise; the rule and its measurements sit at
+HOCHSTER_FACETS_PER_GENERATOR.  is_vanishing always takes the pattern
+walk, so the sweep's vanishing side never runs on the Stanley-Reisner
+complex that its combinatorial side (connectedness) reads.  Ranks are
+taken exactly (integer elimination over Q, or mod p).
 
 Multiplication by x_j sends pattern N to N \\ {j}.  L = K_{N \\ {j}} is the
 subcomplex of K = K_N induced on N \\ {j}, and x_j is the restriction
@@ -44,7 +61,8 @@ and a map is onto iff its rank equals the target's entry in the table.
 
 A CohomologyTable carries its ideal and field, and everything read off it
 takes the table alone.  The variable cap is checked where a table is made:
-in local_cohomology_table, and in the CLI before it trusts a cached table.
+in local_cohomology_table and pattern_table, and in the CLI before it
+trusts a cached table.
 """
 
 from __future__ import annotations
@@ -61,6 +79,7 @@ from .ideals import (
     VariableContext,
     bits,
     require_analyzable,
+    stanley_reisner_facets,
 )
 
 
@@ -68,7 +87,9 @@ from .ideals import (
 class EngineLimits:
     """The engine's one resource guard, the number of variables.
 
-    A pattern's complex K_N lives on |N| <= n vertices, so max_vars bounds
+    Both walks rank complexes on at most n vertices: the pattern walk's
+    K_N lives on N, and the Hochster walk's links live inside the facets
+    of the Stanley-Reisner complex, subsets of [n].  So max_vars bounds
     the faces any one computation visits.  The generator count needs no
     cap of its own: minimized generators form an antichain, so by
     Sperner's theorem r <= C(n, n // 2), which is 70 at n = 8.
@@ -174,12 +195,64 @@ class CohomologyTable:
         return out
 
 
+# The Hochster walk builds the table when t <= 2r, with t the number of
+# Stanley-Reisner facets (minimal primes) and r the number of generators.
+# Each walk's time per ideal is the minimum of five runs, summed in ms per
+# pool: the benchmark's seed-1 pools (cold_analyze's 144 ideals,
+# warm_analyze's 360 set-up ideals) and 48 seeded intersections of 2-5
+# coordinate primes at n 9..12 (CPython 3.11, one core of an Intel Xeon);
+# in brackets, the ideals sent to the Hochster walk:
+#
+#   rule                  cold        warm set-up   prime intersections
+#   pattern walk only   126.5  [0]    114.2   [0]      140.4  [0]
+#   Hochster walk only   48.6 [144]   151.5 [360]       19.4 [48]
+#   t <= r               95.0  [61]   113.2  [12]       19.4 [48]
+#   t <= 1.5r            55.1 [129]   110.3  [54]       19.4 [48]
+#   t <= 2r              48.9 [142]   110.3 [167]       19.4 [48]
+#   t <= 3r              48.6 [144]   123.6 [275]       19.4 [48]
+#   per-ideal best       48.6         104.0             19.4
+#
+# Few generators over many facets is where the pattern walk wins: its memo
+# holds a handful of generator-side classes, while the Hochster walk
+# visits every intersection of the t facets.
+HOCHSTER_FACETS_PER_GENERATOR = 2
+
+
 def local_cohomology_table(
     I: SquareFreeIdeal,
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> CohomologyTable:
-    """Every graded piece of H^*_I(S), one pattern class at a time.
+    """Every graded piece of H^*_I(S), by the cheaper of the two walks.
+
+    With t Stanley-Reisner facets and r generators, t <= 2r takes the
+    Hochster table of S/I reindexed (i, F) -> (n - i, [n] \\ F), and
+    otherwise the pattern walk (module docstring).
+    """
+    require_analyzable(I)
+    limits.check(I.context)
+    if len(stanley_reisner_facets(I)) > HOCHSTER_FACETS_PER_GENERATOR * I.r:
+        dims = _pattern_dims(I, field)
+    else:
+        n, full = I.context.n, I.context.full_mask
+        hochster = simplicial.hochster_table(I, field)
+        dims = {(n - i, full & ~face): d for (i, face), d in hochster.items()}
+    return CohomologyTable(I, field, dims)
+
+
+def pattern_table(
+    I: SquareFreeIdeal,
+    field: FieldSpec = FieldSpec(0),
+    limits: EngineLimits = DEFAULT_LIMITS,
+) -> CohomologyTable:
+    """Every graded piece of H^*_I(S) by the pattern walk alone."""
+    require_analyzable(I)
+    limits.check(I.context)
+    return CohomologyTable(I, field, _pattern_dims(I, field))
+
+
+def _pattern_dims(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int], int]:
+    """The table's entries, one pattern class at a time.
 
     Patterns that are zero for every i are skipped without building a
     complex: N = {} (the Cech complex is the augmented full simplex),
@@ -187,8 +260,6 @@ def local_cohomology_table(
     disjoint from some generator's support (K_N is then the full simplex
     on N).
     """
-    require_analyzable(I)
-    limits.check(I.context)
     # misses[j]: the generators whose support does not contain variable j
     misses = [
         sum(1 << t for t, g in enumerate(I.generators) if not g >> j & 1)
@@ -211,7 +282,7 @@ def local_cohomology_table(
             coh = memo[key] = simplicial.reduced_cohomology(_facets(I, pattern), field)
         for d, h in coh.items():
             dims[(d + 2, pattern)] = h
-    return CohomologyTable(I, field, dims)
+    return dims
 
 
 def _facets(I: SquareFreeIdeal, pattern: int) -> tuple:
@@ -225,7 +296,8 @@ def is_vanishing(
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
 ) -> bool:
-    return local_cohomology_table(I, field, limits).is_row_zero(i)
+    """H^i_I(S) = 0, by the pattern walk whatever the ideal."""
+    return pattern_table(I, field, limits).is_row_zero(i)
 
 
 def cohomological_dimension(table: CohomologyTable) -> int:

@@ -51,6 +51,7 @@ ALL_FIXTURES = [
     "ex313.json",
     "two_planes.json",
     "max_ideal_n2.json",
+    "ci_two_cubics.json",  # t = 9 > 2r = 4: the pattern side of the table
 ]
 
 

@@ -39,6 +39,7 @@ from svtlab.cech import (
     is_vanishing,
     local_cohomology_table,
     multiplication_rank,
+    pattern_table,
     q_invariant,
 )
 
@@ -187,7 +188,7 @@ def projective_plane_ideal():
 
 
 class TestAgainstCechOracle:
-    """The dual engine against the full 2^r Cech complex of every pattern."""
+    """Both walks against the full 2^r Cech complex of every pattern."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(max_n=5, max_gens=6))
@@ -199,8 +200,14 @@ class TestAgainstCechOracle:
     # x1 * (x2, x3, x4): H^1 at N = {x1}, where K_N is the empty complex, and
     # H^3 at N = {x2, x3, x4} and [4], where K_N is a triangle's boundary
     @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b0101, 0b1001]))
+    # (x1x2x3x4x5): t = 5 facets > 2r = 2, the pattern side of the rule
+    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b11111]))
+    # (x1x2x3, x4x5): t = 6 facets > 2r = 4, the pattern side of the rule
+    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00111, 0b11000]))
     def test_table_equals_oracle(self, field, I):
-        assert local_cohomology_table(I, field).dims == cech_table_dims(I, field)
+        oracle = cech_table_dims(I, field)
+        assert local_cohomology_table(I, field).dims == oracle
+        assert pattern_table(I, field).dims == oracle
 
     def test_torsion_table_equals_oracle(self):
         I = projective_plane_ideal()
@@ -232,7 +239,7 @@ class TestAgainstCechOracle:
             return reduced_cohomology(facets, field)
 
         monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
-        table = local_cohomology_table(I, Q)
+        table = pattern_table(I, Q)
         assert len(seen) == calls
         # each class is computed on the variable side, as some K_N
         covering = [N for N in range(1, 1 << I.context.n) if all(g & N for g in I.generators)]
@@ -243,10 +250,58 @@ class TestAgainstCechOracle:
         with open(fixture_path("ex45_n3.json")) as fh:
             I = parse_ideal_document(json.load(fh))
         limits = EngineLimits(max_vars=9)
-        table = local_cohomology_table(I, Q, limits)
+        table = pattern_table(I, Q, limits)
         assert hlv_check(table)
         assert grade_check(table)
         assert cohomological_dimension(table) + depth_quotient(I, Q) == I.context.n
+        assert local_cohomology_table(I, Q, limits).dims == table.dims
+
+
+class TestWalkChoice:
+    """The Hochster walk builds the table exactly when t <= 2r; the
+    vanishing test never takes it."""
+
+    @staticmethod
+    def hochster_calls(run):
+        """run()'s result and the `below` of each hochster_table call it made."""
+        calls = []
+        real = simplicial.hochster_table
+
+        def spy(I, field, below=None):
+            calls.append(below)
+            return real(I, field, below)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplicial, "hochster_table", spy)
+            return run(), calls
+
+    @pytest.mark.parametrize(
+        "I, hochster",
+        [
+            # (x1x2, x3x4): t = 4 = 2r, the last count on the Hochster side
+            (SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]), True),
+            # (x1x2x3x4x5, x6): t = 5 = 2r + 1, the first on the pattern side
+            (SquareFreeIdeal.from_supports(context_of(6), [0b011111, 0b100000]), False),
+            # (x1x2x3x4x5): t = 5 > 2r = 2
+            (SquareFreeIdeal.from_supports(context_of(5), [0b11111]), False),
+            # the maximal ideal: t = 1 <= 2r = 6
+            (SquareFreeIdeal.maximal(context_of(3)), True),
+        ],
+    )
+    def test_walk_at_the_boundary(self, I, hochster):
+        _, calls = self.hochster_calls(lambda: local_cohomology_table(I, Q))
+        assert calls == ([None] if hochster else [])
+
+    @given(proper_ideals(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_hochster_walk_exactly_when_t_at_most_2r(self, I):
+        t = len(simplicial.complex_from_ideal(I).facets)
+        table, calls = self.hochster_calls(lambda: local_cohomology_table(I, Q))
+        assert calls == ([None] if t <= 2 * I.r else [])
+        assert table.dims == pattern_table(I, Q).dims
+        rows = range(I.context.n + 1)
+        _, calls = self.hochster_calls(lambda: [is_vanishing(I, i, Q) for i in rows])
+        assert calls == []
 
 
 def all_subsets_ideal(n, k):
@@ -259,10 +314,10 @@ def all_subsets_ideal(n, k):
 class TestHochsterDuality:
     """dim H^i_I(S)_N = dim H^{n-i}_m(S/I)_{[n] minus N}, entry by entry.
 
-    The table works on the Dowker complexes of I and Hochster's formula on
-    the links of the Stanley-Reisner complex, so neither is computed from
-    the other.  Past r = 20 the 2^r Cech oracle cannot run, and this is
-    the independent check.
+    The pattern walk works on the Dowker complexes of I and Hochster's
+    formula on the links of the Stanley-Reisner complex, so neither is
+    computed from the other.  Past r = 20 the 2^r Cech oracle cannot run,
+    and this is the independent check.
     """
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
@@ -274,7 +329,7 @@ class TestHochsterDuality:
         n, full = I.context.n, I.context.full_mask
         hochster = simplicial.hochster_table(I, field)
         expected = {(n - i, full & ~face): d for (i, face), d in hochster.items()}
-        assert local_cohomology_table(I, field).dims == expected
+        assert pattern_table(I, field).dims == expected
 
 
 class TestStructuralInvariants:
@@ -292,7 +347,7 @@ class TestStructuralInvariants:
     def test_cd_equals_n_minus_depth(self, I):
         # independent oracle: cohomological dimension of a monomial ideal
         # matches n - depth(S/I), with depth read off the quotient side
-        table = local_cohomology_table(I, Q)
+        table = pattern_table(I, Q)
         assert cohomological_dimension(table) == (
             I.context.n - depth_quotient(I, Q)
         )
@@ -469,6 +524,7 @@ class TestMultiplicationAgainstOracles:
 
 # degrees i in -1..n+1 where H^i_I(S) is not divisible, over Q and GF(2)
 NOT_DIVISIBLE = {
+    "ci_two_cubics.json": [],
     "ex313.json": [1],
     "ex43.json": [3, 5],
     "ex45_n3.json": [4, 5],
