@@ -12,9 +12,11 @@ It checks the reported table the same way.  local_cohomology_table
 builds that table from the Hochster walk itself unless the Stanley-Reisner
 complex has more than 2r facets (only ci_two_cubics.json does), so for
 the other fixtures the pattern walk is the independent side.
-The depth sentinel (hochster_depth=) checks the report's depth, which
-depth_quotient reads off the rows below the smallest facet size, against
-the lowest row of that full Hochster table.
+The depth sentinel (hochster_depth=) checks the report's depth against
+the lowest row of that full Hochster table.  depth_quotient returns the
+smallest facet size m when m <= n - r + 1 (its two bounds, n - r <= depth
+<= m, settle it; triangle_and_edge.json takes the m = n - r + 1 case), and
+walks the links for the rows below m only when m > n - r + 1.
 Each table is built with the variable cap raised to the fixture's own
 number of variables, so the nine-variable fixture is checked too.
 

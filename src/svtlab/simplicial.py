@@ -6,7 +6,7 @@ exactly the empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
 
 Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
-Stanley-Reisner complex of I.  Five facts keep it cheap:
+Stanley-Reisner complex of I.  Six facts keep it cheap:
 
 - One kernel, relative_cohomology, gives H^d(K, L) for a subcomplex L
   holding the empty face: the faces of K outside L are upward closed, and
@@ -23,14 +23,20 @@ Stanley-Reisner complex of I.  Five facts keep it cheap:
 - Reduced cohomology does not see vertex names, so hochster_table keys
   each link by its facets with their vertex union relabelled 0..k-1 in
   order, and ranks one complex per key; the memo lives for one call.
-- depth_quotient builds only the rows below the smallest facet size m
-  (a facet's link is EMPTY, so row m is nonzero): hochster_table(I, k, m)
-  needs from lk F only the degrees d <= m - |F| - 2, reads d = 0 from
-  the components of the link without a rank, and ranks no coboundary
-  above the bound.
+- When depth_quotient walks (the last fact says when), it builds only the
+  rows below the smallest facet size m (a facet's link is EMPTY, so row m
+  is nonzero): hochster_table(I, k, m) needs from lk F only the degrees
+  d <= m - |F| - 2, reads d = 0 from the components of the link without a
+  rank, and ranks no coboundary above the bound.
 - S/P for a coordinate prime P is a polynomial ring in d = n - ht P
   variables (its complex is a simplex), so H^i_m(S/P) is nonzero only at
   i = d; analysis.svt_check uses that instead of a table per prime.
+- n - r <= depth(S/I) <= m, with r the number of minimal generators: the
+  Taylor resolution has length r, so pd(S/I) <= r and Auslander-Buchsbaum
+  gives the lower bound.  The bounds meet at m = n - r, and at
+  m = n - r + 1 the top Taylor Betti number vanishes (depth_quotient has
+  the argument), so depth_quotient returns m and walks the links only
+  when m > n - r + 1.
 """
 
 from __future__ import annotations
@@ -228,10 +234,28 @@ def hochster_table(I: SquareFreeIdeal, field: FieldSpec, below=None) -> Dict[Tup
 
 
 def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
-    """depth(S/I) = min i with H^i_m(S/I) nonzero.  Each facet's link is
-    EMPTY, so row m, the smallest facet size, is nonzero and only the rows
-    below it are built."""
+    """depth(S/I) = min i with H^i_m(S/I) nonzero, over any field.
+
+    Each facet's link is EMPTY, so row m, the smallest facet size, is
+    nonzero.  The Taylor resolution of S/I (D. Taylor, "Ideals generated by
+    monomials in an R-sequence", thesis, Chicago 1966) is free of length r,
+    the number of minimal generators, so n - m = bigheight(I) <= pd(S/I)
+    <= r, and Auslander-Buchsbaum (M. Auslander, D. A. Buchsbaum,
+    "Homological dimension in local rings", Trans. AMS 85, 1957), depth =
+    n - pd, gives n - r <= depth <= m.  At m = n - r the bounds meet.
+
+    At m = n - r + 1, depth = n - r would need beta_r(S/I) != 0.  The top
+    Taylor differential sends e_[r] to the sum over t of
+    +-(lcm / lcm of the others) e_([r] minus t), so beta_r != 0 exactly
+    when every generator has a variable no other generator has.  Those r
+    variables then span a minimal prime of height r, so m = n - r.
+
+    So depth = m whenever m <= n - r + 1, and only otherwise are the rows
+    below m built from the links.
+    """
     m = min(map(int.bit_count, stanley_reisner_facets(I)))
+    if m <= I.context.n - I.r + 1:
+        return m
     return min((i for i, _ in hochster_table(I, field, m)), default=m)
 
 

@@ -52,6 +52,7 @@ ALL_FIXTURES = [
     "two_planes.json",
     "max_ideal_n2.json",
     "ci_two_cubics.json",  # t = 9 > 2r = 4: the pattern side of the table
+    "triangle_and_edge.json",  # m = n - r + 1: depth from its two bounds
 ]
 
 

@@ -293,7 +293,7 @@ class TestSweep:
 FIXTURES = [
     "ci_two_cubics.json", "ex313.json", "ex43.json", "ex45_n3.json", "ex45_reduced.json",
     "ex46.json", "ex47.json", "k8_edges.json", "max_ideal_n2.json", "rp2.json",
-    "two_planes.json",
+    "triangle_and_edge.json", "two_planes.json",
 ]
 
 

@@ -257,23 +257,23 @@ class TestAgainstCechOracle:
         assert local_cohomology_table(I, Q, limits).dims == table.dims
 
 
+def hochster_calls(run):
+    """run()'s result and the `below` of each hochster_table call it made."""
+    calls = []
+    real = simplicial.hochster_table
+
+    def spy(I, field, below=None):
+        calls.append(below)
+        return real(I, field, below)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "hochster_table", spy)
+        return run(), calls
+
+
 class TestWalkChoice:
     """The Hochster walk builds the table exactly when t <= 2r; the
     vanishing test never takes it."""
-
-    @staticmethod
-    def hochster_calls(run):
-        """run()'s result and the `below` of each hochster_table call it made."""
-        calls = []
-        real = simplicial.hochster_table
-
-        def spy(I, field, below=None):
-            calls.append(below)
-            return real(I, field, below)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simplicial, "hochster_table", spy)
-            return run(), calls
 
     @pytest.mark.parametrize(
         "I, hochster",
@@ -289,18 +289,18 @@ class TestWalkChoice:
         ],
     )
     def test_walk_at_the_boundary(self, I, hochster):
-        _, calls = self.hochster_calls(lambda: local_cohomology_table(I, Q))
+        _, calls = hochster_calls(lambda: local_cohomology_table(I, Q))
         assert calls == ([None] if hochster else [])
 
     @given(proper_ideals(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_hochster_walk_exactly_when_t_at_most_2r(self, I):
         t = len(simplicial.complex_from_ideal(I).facets)
-        table, calls = self.hochster_calls(lambda: local_cohomology_table(I, Q))
+        table, calls = hochster_calls(lambda: local_cohomology_table(I, Q))
         assert calls == ([None] if t <= 2 * I.r else [])
         assert table.dims == pattern_table(I, Q).dims
         rows = range(I.context.n + 1)
-        _, calls = self.hochster_calls(lambda: [is_vanishing(I, i, Q) for i in rows])
+        _, calls = hochster_calls(lambda: [is_vanishing(I, i, Q) for i in rows])
         assert calls == []
 
 
@@ -342,14 +342,22 @@ class TestStructuralInvariants:
         assert min(rows) == h  # vanishing below the height, nonzero at it
         assert max(rows) <= I.context.n
 
-    @given(proper_ideals())
-    @settings(max_examples=25, deadline=None)
-    def test_cd_equals_n_minus_depth(self, I):
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
+    @settings(max_examples=150, deadline=None)
+    # m = n - r: depth_quotient returns m from its two bounds
+    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]))
+    # (x1x2, x2x3, x1x3, x4x5): m = n - r + 1, settled without a walk too
+    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00011, 0b00110, 0b00101, 0b11000]))
+    # RP^2: m > n - r + 1, the links are walked; cd 3, 4 and 3
+    @example(I=projective_plane_ideal())
+    def test_cd_equals_n_minus_depth(self, field, I):
         # independent oracle: cohomological dimension of a monomial ideal
-        # matches n - depth(S/I), with depth read off the quotient side
-        table = pattern_table(I, Q)
+        # (Mustata's formula on the Dowker complexes) matches n - depth(S/I),
+        # with depth read off the quotient side
+        table = pattern_table(I, field)
         assert cohomological_dimension(table) == (
-            I.context.n - depth_quotient(I, Q)
+            I.context.n - depth_quotient(I, field)
         )
 
     @given(proper_ideals())
@@ -533,6 +541,7 @@ NOT_DIVISIBLE = {
     "ex47.json": [2, 3],
     "k8_edges.json": [],
     "max_ideal_n2.json": [],
+    "triangle_and_edge.json": [],  # Cohen-Macaulay: one row, H^3
     "two_planes.json": [2],
 }
 

@@ -13,12 +13,12 @@ from oracles import (
     reduced_euler_characteristic,
     relative_cohomology_by_elimination,
 )
-from test_cech import projective_plane_ideal
+from test_cech import hochster_calls, projective_plane_ideal
 
 from svtlab import linalg, simplicial
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, VariableContext, bits
+from svtlab.ideals import IdealDomainError, SquareFreeIdeal, VariableContext, bits
 from svtlab.simplicial import (
     SimplicialComplex,
     complex_from_ideal,
@@ -288,14 +288,29 @@ class TestSkippedLinks:
             assert reduced_cohomology(cone.facets, Q) == {}
 
 
-def _two_planes():
-    with open(fixture_path("two_planes.json")) as fh:
+def _fixture(name):
+    with open(fixture_path(name)) as fh:
         return parse_ideal_document(json.load(fh))
 
 
+def _two_planes():
+    return _fixture("two_planes.json")
+
+
+# (x1x2, x3x4): facets x1x3, x1x4, x2x3, x2x4, so m = 2 = n - r
+TWO_DISJOINT_EDGES = SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100])
+
+
+def _triangle_and_edge():
+    """(x1x2, x2x3, x1x3, x4x5): m = 2 = n - r + 1, no generator has a
+    variable of its own, depth 2."""
+    return _fixture("triangle_and_edge.json")
+
+
 class TestRowsBelow:
-    """hochster_table below a row, and depth_quotient, which builds only the
-    rows below the smallest facet size, against the full table."""
+    """hochster_table below a row, and depth_quotient, which returns the
+    smallest facet size m when m <= n - r + 1 and otherwise builds only the
+    rows below m, against the full table."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(min_n=1, max_n=7, max_gens=6), st.integers(0, 8))
@@ -336,6 +351,10 @@ class TestRowsBelow:
     @example(I=SquareFreeIdeal.from_supports(
         context_of(7), [0b101, 0b1010, 0b1100, 0b10110, 0b11000, 0b100011, 0b1000010, 0b1000100]
     ))
+    # m = n - r: the two bounds on the depth meet, depth 2
+    @example(I=TWO_DISJOINT_EDGES)
+    # m = n - r + 1: the top Taylor Betti number vanishes, depth 2
+    @example(I=_triangle_and_edge())
     def test_depth_equals_lowest_row_of_the_table(self, field, I):
         assert depth_quotient(I, field) == min(i for i, _ in hochster_table(I, field))
 
@@ -344,6 +363,28 @@ class TestRowsBelow:
         # the empty face's link gives it from its two components
         monkeypatch.setattr(linalg, "rank", lambda *a: pytest.fail("no coboundary is ranked"))
         assert depth_quotient(_two_planes(), Q) == 1
+
+    @pytest.mark.parametrize(
+        "I, depths, walks",
+        [
+            (TWO_DISJOINT_EDGES, (2, 2, 2), False),  # m = n - r
+            (_triangle_and_edge(), (2, 2, 2), False),  # m = n - r + 1
+            # n 6, r 10, m 3 > n - r + 1: H~^1 of RP^2 over GF(2) gives row 2
+            (projective_plane_ideal(), (3, 2, 3), True),
+        ],
+        ids=["two_disjoint_edges", "triangle_and_edge", "rp2"],
+    )
+    def test_links_walked_only_past_n_minus_r_plus_one(self, I, depths, walks):
+        got, calls = hochster_calls(lambda: tuple(depth_quotient(I, field) for field in FIELDS))
+        assert got == depths
+        # one walk per field, below rp2's m = 3
+        assert calls == ([3] * 3 if walks else [])
+
+    def test_zero_and_unit_ideals_refuse(self):
+        ctx = context_of(3)
+        for I in (SquareFreeIdeal.from_supports(ctx, []), SquareFreeIdeal.from_supports(ctx, [0])):
+            with pytest.raises(IdealDomainError):
+                depth_quotient(I, Q)
 
 
 def _simplex_boundary(n):
