@@ -16,7 +16,8 @@ The depth sentinel (hochster_depth=) checks the report's depth against
 the lowest row of that full Hochster table.  depth_quotient returns the
 smallest facet size m when m <= n - r + 1 (its two bounds, n - r <= depth
 <= m, settle it; triangle_and_edge.json takes the m = n - r + 1 case), and
-walks the links for the rows below m only when m > n - r + 1.
+only when m > n - r + 1 searches the links for a lower row, without
+building the table this sentinel reads.
 Each table is built with the variable cap raised to the fixture's own
 number of variables, so the nine-variable fixture is checked too.
 

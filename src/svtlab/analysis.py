@@ -24,6 +24,7 @@ from .fields import FieldSpec
 from .ideals import (
     SquareFreeIdeal,
     VariableContext,
+    check_context_cap,
     dim_quotient,
     height,
     intersect,
@@ -236,8 +237,10 @@ def random_svt_sweep(
     # the ring is checked before any trial, so zero trials refuse it too
     if n < 3:
         raise ValueError(f"a sweep needs at least 3 variables, not {n}")
+    # both caps before the names, so a huge n builds none of them
+    check_context_cap(n)
+    limits.check(n)
     context = VariableContext(tuple(f"x{i + 1}" for i in range(n)))
-    limits.check(context)
     rng = random.Random(seed)
     summary = SweepSummary(
         n=n,

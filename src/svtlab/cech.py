@@ -76,7 +76,6 @@ from .ideals import (
     CapExceededError,
     SquareFreeIdeal,
     SquareFreeMonomial,
-    VariableContext,
     bits,
     require_analyzable,
     stanley_reisner_facets,
@@ -97,10 +96,10 @@ class EngineLimits:
 
     max_vars: int = 8
 
-    def check(self, context: VariableContext):
-        if context.n > self.max_vars:
+    def check(self, n: int):
+        if n > self.max_vars:
             raise CapExceededError(
-                f"{context.n} variables exceeds the engine cap {self.max_vars}"
+                f"{n} variables exceeds the engine cap {self.max_vars}"
                 " (raise max_vars to override)"
             )
 
@@ -143,7 +142,7 @@ class GradedComplex:
 def build_graded_complex(
     I: SquareFreeIdeal, pattern: int, limits: EngineLimits = DEFAULT_LIMITS
 ) -> GradedComplex:
-    limits.check(I.context)
+    limits.check(I.context.n)
     supports = I.generators
     r = len(supports)
     unions = {0: 0}
@@ -197,20 +196,20 @@ class CohomologyTable:
 
 # The Hochster walk builds the table when t <= 2r, with t the number of
 # Stanley-Reisner facets (minimal primes) and r the number of generators.
-# Each walk's time per ideal is the minimum of five runs, summed in ms per
-# pool: the benchmark's seed-1 pools (cold_analyze's 144 ideals,
-# warm_analyze's 360 set-up ideals) and 48 seeded intersections of 2-5
-# coordinate primes at n 9..12 (CPython 3.11, one core of an Intel Xeon);
-# in brackets, the ideals sent to the Hochster walk:
+# Each walk's time per ideal is the minimum of 25 runs (five rounds of
+# five), summed in ms per pool: the benchmark's seed-1 pools (cold_analyze's
+# 144 ideals, warm_analyze's 360 set-up ideals) and 48 seeded intersections
+# of 2-5 coordinate primes at n 9..12 (CPython 3.11, one core of an Intel
+# Xeon); in brackets, the ideals sent to the Hochster walk:
 #
 #   rule                  cold        warm set-up   prime intersections
-#   pattern walk only   126.5  [0]    114.2   [0]      140.4  [0]
-#   Hochster walk only   48.6 [144]   151.5 [360]       19.4 [48]
-#   t <= r               95.0  [61]   113.2  [12]       19.4 [48]
-#   t <= 1.5r            55.1 [129]   110.3  [54]       19.4 [48]
-#   t <= 2r              48.9 [142]   110.3 [167]       19.4 [48]
-#   t <= 3r              48.6 [144]   123.6 [275]       19.4 [48]
-#   per-ideal best       48.6         104.0             19.4
+#   pattern walk only   120.6  [0]     99.0   [0]      133.1  [0]
+#   Hochster walk only   41.9 [144]   162.0 [360]        9.8 [48]
+#   t <= r               88.6  [61]    98.0  [12]        9.8 [48]
+#   t <= 1.5r            48.4 [129]    95.3  [54]        9.8 [48]
+#   t <= 2r              42.1 [142]    95.3 [167]        9.8 [48]
+#   t <= 3r              41.9 [144]   115.3 [275]        9.8 [48]
+#   per-ideal best       41.9          88.4              9.8
 #
 # Few generators over many facets is where the pattern walk wins: its memo
 # holds a handful of generator-side classes, while the Hochster walk
@@ -230,7 +229,7 @@ def local_cohomology_table(
     otherwise the pattern walk (module docstring).
     """
     require_analyzable(I)
-    limits.check(I.context)
+    limits.check(I.context.n)
     if len(stanley_reisner_facets(I)) > HOCHSTER_FACETS_PER_GENERATOR * I.r:
         dims = _pattern_dims(I, field)
     else:
@@ -247,7 +246,7 @@ def pattern_table(
 ) -> CohomologyTable:
     """Every graded piece of H^*_I(S) by the pattern walk alone."""
     require_analyzable(I)
-    limits.check(I.context)
+    limits.check(I.context.n)
     return CohomologyTable(I, field, _pattern_dims(I, field))
 
 

@@ -54,6 +54,12 @@ def components(masks) -> int:
     return count
 
 
+def check_context_cap(n: int):
+    """Refuse a ring of more than DEFAULT_MAX_VARS variables."""
+    if n > DEFAULT_MAX_VARS:
+        raise CapExceededError(f"{n} variables exceeds the context cap {DEFAULT_MAX_VARS}")
+
+
 @dataclass(frozen=True)
 class VariableContext:
     """The ambient polynomial ring k[names[0], ..., names[n-1]]."""
@@ -65,10 +71,7 @@ class VariableContext:
         object.__setattr__(self, "names", names)
         if not names:
             raise ValueError("a variable context needs at least one variable")
-        if len(names) > DEFAULT_MAX_VARS:
-            raise CapExceededError(
-                f"{len(names)} variables exceeds the context cap {DEFAULT_MAX_VARS}"
-            )
+        check_context_cap(len(names))
         if any(not isinstance(s, str) or not s for s in names):
             raise ValueError("variable names must be non-empty strings")
         if len(set(names)) != len(names):

@@ -6,7 +6,7 @@ exactly the empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
 
 Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
-Stanley-Reisner complex of I.  Six facts keep it cheap:
+Stanley-Reisner complex of I.  Five facts keep it cheap:
 
 - One kernel, relative_cohomology, gives H^d(K, L) for a subcomplex L
   holding the empty face: the faces of K outside L are upward closed, and
@@ -18,16 +18,15 @@ Stanley-Reisner complex of I.  Six facts keep it cheap:
 - The facets of lk F are G minus F for the facets G that contain F, so
   lk F is a cone exactly when those facets meet in more than F.  Only a
   face that is an intersection of facets (the empty face included when
-  all facets meet in it) can carry cohomology, and hochster_table visits
-  only those.
-- Reduced cohomology does not see vertex names, so hochster_table keys
-  each link by its facets with their vertex union relabelled 0..k-1 in
-  order, and ranks one complex per key; the memo lives for one call.
-- When depth_quotient walks (the last fact says when), it builds only the
-  rows below the smallest facet size m (a facet's link is EMPTY, so row m
-  is nonzero): hochster_table(I, k, m) needs from lk F only the degrees
-  d <= m - |F| - 2, reads d = 0 from the components of the link without a
-  rank, and ranks no coboundary above the bound.
+  all facets meet in it) can carry cohomology, and hochster_table and
+  depth_quotient visit only those.
+- When depth_quotient searches (the last fact says when), it wants only
+  the lowest nonzero row, which is at most the smallest facet size m (a
+  facet's link is EMPTY).  It visits the intersections by size and ranks
+  lk F only in the degrees d <= best - |F| - 2 that could beat the best
+  row found so far, reading d = 0 from the components of the link without
+  a rank; it stops at the first F with |F| + 1 >= best, since a face that
+  is not a facet has no row below |F| + 1.
 - S/P for a coordinate prime P is a polynomial ring in d = n - ht P
   variables (its complex is a simplex), so H^i_m(S/P) is nonzero only at
   i = d; analysis.svt_check uses that instead of a table per prime.
@@ -35,8 +34,8 @@ Stanley-Reisner complex of I.  Six facts keep it cheap:
   Taylor resolution has length r, so pd(S/I) <= r and Auslander-Buchsbaum
   gives the lower bound.  The bounds meet at m = n - r, and at
   m = n - r + 1 the top Taylor Betti number vanishes (depth_quotient has
-  the argument), so depth_quotient returns m and walks the links only
-  when m > n - r + 1.
+  the argument), so depth_quotient returns m and searches the links
+  only when m > n - r + 1.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ class SimplicialComplex:
         return any(face & f == face for f in self.facets)
 
 
+# Used by the tests only; stays while perfbench/tracer.py wraps it by name.
 def complex_from_ideal(I: SquareFreeIdeal) -> SimplicialComplex:
     """Stanley-Reisner complex of a proper square-free ideal."""
     return SimplicialComplex(I.context.n, stanley_reisner_facets(I))
@@ -78,24 +78,6 @@ def link(delta: SimplicialComplex, face: int) -> SimplicialComplex:
         raise ValueError("face is not in the complex")
     facets = tuple(f & ~face for f in delta.facets if face & f == face)
     return SimplicialComplex(delta.n, facets)
-
-
-def _relabelled(facets: tuple) -> tuple:
-    """The facets with their vertex union renamed 0..k-1 in order, sorted."""
-    union = 0
-    for f in facets:
-        union |= f
-    out = []
-    for f in facets:
-        g, k, rest = 0, 1, union
-        while rest:
-            low = rest & -rest
-            if f & low:
-                g |= k
-            k <<= 1
-            rest ^= low
-        out.append(g)
-    return tuple(sorted(out))
 
 
 def maximal_faces(masks) -> tuple:
@@ -194,42 +176,30 @@ def reduced_cohomology(facets: tuple, field: FieldSpec, max_degree=None) -> Dict
     )
 
 
-def hochster_table(I: SquareFreeIdeal, field: FieldSpec, below=None) -> Dict[Tuple[int, int], int]:
-    """Nonzero entries (i, face mask F) -> dim H~^{i-|F|-1}(link F; k) for
-    the rows i < below (None: every row).
+def _intersections(facets: tuple) -> list:
+    """Every intersection of one or more facets, smallest first."""
+    closed, frontier = set(facets), facets
+    while frontier:
+        frontier = {a & b for a in frontier for b in facets} - closed
+        closed |= frontier
+    return sorted(closed, key=int.bit_count)
+
+
+def hochster_table(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int], int]:
+    """Nonzero entries (i, face mask F) -> dim H~^{i-|F|-1}(link F; k).
 
     The degree-a piece of H^i_m(S/I) for a <= 0 with support F has this
     dimension when F is a face, and is 0 otherwise; so each nonempty F
     column carries infinitely many multidegrees.  Only intersections of
-    facets are visited: the link of any other face is a cone.  Below a
-    row, F needs only the degrees d <= below - |F| - 2 of its link.
+    facets are visited: the link of any other face is a cone.
     """
-    delta = complex_from_ideal(I)
-    closed, frontier = set(delta.facets), delta.facets
-    while frontier:
-        frontier = {a & b for a in frontier for b in delta.facets} - closed
-        closed |= frontier
-    memo: Dict[tuple, Dict[int, int]] = {}  # relabelled link facets -> H~^{<= bound}
+    facets = stanley_reisner_facets(I)
     table = {}
-    # by size, so the degree bound never rises and a memo entry covers it
-    for face in sorted(closed, key=int.bit_count):
+    for face in _intersections(facets):
         size = face.bit_count()
-        bound = None if below is None else below - size - 2
-        if bound is not None and bound < 0:
-            if bound == -1 and face in delta.facets:  # EMPTY link, H~^{-1} = k
-                table[(size, face)] = 1
-            continue
-        facets = tuple(f & ~face for f in delta.facets if face & f == face)
-        if bound == 0:  # degree 0 takes no rank, so the memo would save nothing
-            coh = reduced_cohomology(facets, field, bound)
-        else:
-            lk = _relabelled(facets)
-            coh = memo.get(lk)
-            if coh is None:
-                coh = memo[lk] = reduced_cohomology(lk, field, bound)
-        for d, h in coh.items():
-            if bound is None or d <= bound:
-                table[(d + size + 1, face)] = h
+        lk = tuple(f & ~face for f in facets if face & f == face)
+        for d, h in reduced_cohomology(lk, field).items():
+            table[(d + size + 1, face)] = h
     return table
 
 
@@ -250,13 +220,22 @@ def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
     when every generator has a variable no other generator has.  Those r
     variables then span a minimal prime of height r, so m = n - r.
 
-    So depth = m whenever m <= n - r + 1, and only otherwise are the rows
-    below m built from the links.
+    So depth = m whenever m <= n - r + 1, and only otherwise are the facet
+    intersections searched for a lower row (the module docstring says how).
     """
-    m = min(map(int.bit_count, stanley_reisner_facets(I)))
-    if m <= I.context.n - I.r + 1:
-        return m
-    return min((i for i, _ in hochster_table(I, field, m)), default=m)
+    facets = stanley_reisner_facets(I)
+    best = min(map(int.bit_count, facets))
+    if best <= I.context.n - I.r + 1:
+        return best
+    for face in _intersections(facets):
+        size = face.bit_count()
+        if size + 1 >= best:
+            break
+        lk = tuple(f & ~face for f in facets if face & f == face)
+        coh = reduced_cohomology(lk, field, best - size - 2)
+        if coh:
+            best = min(coh) + size + 1
+    return best
 
 
 # Used by the tests only; stays while perfbench/tracer.py wraps it by name.

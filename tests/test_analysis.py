@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import hochster_table_all_faces, prime_ideal
 
-from svtlab import cech, graphs
+from svtlab import analysis, cech, graphs
 from svtlab.cech import EngineLimits, local_cohomology_table
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
@@ -270,6 +270,14 @@ class TestSweep:
         raised = EngineLimits(max_vars=9)
         summary = random_svt_sweep(n=9, generator_bound=3, trials=trials, seed=1, limits=raised)
         assert summary.agreements == trials
+
+    @pytest.mark.parametrize(
+        "n, cap", [(10**5, "context cap 16"), (10, "engine cap 8")], ids=["context", "engine"]
+    )
+    def test_ring_over_a_cap_refused_before_its_names_are_built(self, n, cap, monkeypatch):
+        monkeypatch.setattr(analysis, "VariableContext", lambda names: pytest.fail("names built"))
+        with pytest.raises(CapExceededError, match=f"^{n} variables exceeds the {cap}"):
+            random_svt_sweep(n=n, generator_bound=3, trials=0, seed=1)
 
     def test_zero_trials_is_an_empty_sweep(self):
         summary = random_svt_sweep(n=4, generator_bound=3, trials=0, seed=1)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import (
-    faces_by_card,
     hochster_table_all_faces,
     quotient_local_cohomology_dim,
     reduced_cohomology_by_elimination,
@@ -18,7 +18,7 @@ from test_cech import hochster_calls, projective_plane_ideal
 from svtlab import linalg, simplicial
 from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
-from svtlab.ideals import IdealDomainError, SquareFreeIdeal, VariableContext, bits
+from svtlab.ideals import IdealDomainError, SquareFreeIdeal, VariableContext
 from svtlab.simplicial import (
     SimplicialComplex,
     complex_from_ideal,
@@ -244,30 +244,6 @@ class TestSkippedLinks:
     def test_table_equals_all_faces_oracle(self, field, I):
         assert hochster_table(I, field) == hochster_table_all_faces(I, field)
 
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
-    def test_one_rank_per_distinct_relabelled_link(self, field, monkeypatch):
-        I = projective_plane_ideal()
-        delta = complex_from_ideal(I)
-        faces = [f for level in faces_by_card(delta) for f in level]
-        # every face of RP^2 is an intersection of facets, so all 32 are
-        # visited; their links, with vertices renamed 0..k-1 in order
-        distinct = set()
-        for face in faces:
-            facets = link(delta, face).facets
-            names = sorted({v for f in facets for v in bits(f)})
-            distinct.add(tuple(sorted(sum(1 << names.index(v) for v in bits(f)) for f in facets)))
-        calls = []
-
-        def spy(lk, fld, max_degree=None):
-            calls.append(lk)
-            return reduced_cohomology(lk, fld, max_degree)
-
-        monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
-        rows = {i for i, _ in hochster_table(I, field)}
-        assert min(rows) == (2 if field.characteristic == 2 else 3)
-        assert sorted(calls) == sorted(distinct)
-        assert len(calls) < len(faces) == 32
-
     @given(
         st.integers(1, 6).flatmap(
             lambda n: st.tuples(
@@ -307,29 +283,23 @@ def _triangle_and_edge():
     return _fixture("triangle_and_edge.json")
 
 
-class TestRowsBelow:
-    """hochster_table below a row, and depth_quotient, which returns the
-    smallest facet size m when m <= n - r + 1 and otherwise builds only the
-    rows below m, against the full table."""
+def _coned_spheres_wedge():
+    """Two hollow tetrahedra on x1x2x3x4 and x1x9x10x11, each triangle
+    coned by a vertex of its own, so K is two 2-spheres wedged at x1: n 15,
+    r 71, m 4, depth 2."""
+    facets = []
+    for tetrahedron, apexes in (((0, 1, 2, 3), (4, 5, 6, 7)), ((0, 8, 9, 10), (11, 12, 13, 14))):
+        for triangle, apex in zip(combinations(tetrahedron, 3), apexes):
+            facets.append({*triangle, apex})
+    return primes(
+        context_of(15), *([f"x{v + 1}" for v in range(15) if v not in f] for f in facets)
+    )
 
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
-    @given(proper_ideals(min_n=1, max_n=7, max_gens=6), st.integers(0, 8))
-    @settings(max_examples=120, deadline=None)
-    # RP^2 over GF(2): row 2 comes from H~^1 of the whole complex
-    @example(I=projective_plane_ideal(), below=3)
-    # I = m: the EMPTY complex, whose only entry is row 0
-    @example(I=SquareFreeIdeal.maximal(context_of(3)), below=1)
-    # two disjoint edges: row 1 from H~^0, row 2 from the facets
-    @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]), below=3)
-    # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: the
-    # memo entry made for x1 (degrees <= 2) holds H~^2, which for x2x3
-    # (degrees <= 1) would be row 5
-    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]), below=5)
-    def test_equals_the_full_table_cut_below(self, field, I, below):
-        full = hochster_table(I, field)
-        assert hochster_table(I, field, below) == {
-            (i, face): h for (i, face), h in full.items() if i < below
-        }
+
+class TestRowsBelow:
+    """depth_quotient, which returns the smallest facet size m when
+    m <= n - r + 1 and otherwise searches the links for a row below m,
+    against the full table."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
@@ -355,30 +325,42 @@ class TestRowsBelow:
     @example(I=TWO_DISJOINT_EDGES)
     # m = n - r + 1: the top Taylor Betti number vanishes, depth 2
     @example(I=_triangle_and_edge())
+    # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: its
+    # H~^2 is row 3, the depth, at x1 and row 5, above m = 4, at x2x3
+    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
+    # two wedged 2-spheres: the empty face gives row 3 before the wedge
+    # point's disconnected link gives row 2
+    @example(I=_coned_spheres_wedge())
     def test_depth_equals_lowest_row_of_the_table(self, field, I):
         assert depth_quotient(I, field) == min(i for i, _ in hochster_table(I, field))
 
     def test_disconnected_link_needs_no_rank(self, monkeypatch):
-        # two planes: the edges x3x4 and x1x2, so only row 1 is built, and
-        # the empty face's link gives it from its two components
+        # two planes: the edges x3x4 and x1x2, so the search asks only for
+        # row 1, and the empty face's link gives it from its two components
         monkeypatch.setattr(linalg, "rank", lambda *a: pytest.fail("no coboundary is ranked"))
         assert depth_quotient(_two_planes(), Q) == 1
 
     @pytest.mark.parametrize(
-        "I, depths, walks",
+        "I, depths, links",
         [
-            (TWO_DISJOINT_EDGES, (2, 2, 2), False),  # m = n - r
-            (_triangle_and_edge(), (2, 2, 2), False),  # m = n - r + 1
-            # n 6, r 10, m 3 > n - r + 1: H~^1 of RP^2 over GF(2) gives row 2
-            (projective_plane_ideal(), (3, 2, 3), True),
+            (TWO_DISJOINT_EDGES, (2, 2, 2), (0, 0, 0)),  # m = n - r
+            (_triangle_and_edge(), (2, 2, 2), (0, 0, 0)),  # m = n - r + 1
+            # n 6, r 10, m 3 > n - r + 1: the empty face and the six
+            # vertices, whose links are connected 5-cycles; over GF(2), H~^1
+            # of RP^2 gives row 2 at the empty face and ends the search
+            (projective_plane_ideal(), (3, 2, 3), (7, 1, 7)),
         ],
         ids=["two_disjoint_edges", "triangle_and_edge", "rp2"],
     )
-    def test_links_walked_only_past_n_minus_r_plus_one(self, I, depths, walks):
-        got, calls = hochster_calls(lambda: tuple(depth_quotient(I, field) for field in FIELDS))
-        assert got == depths
-        # one walk per field, below rp2's m = 3
-        assert calls == ([3] * 3 if walks else [])
+    def test_links_walked_only_past_n_minus_r_plus_one(self, I, depths, links, monkeypatch):
+        real, calls = simplicial.reduced_cohomology, []
+        monkeypatch.setattr(
+            simplicial, "reduced_cohomology", lambda lk, *a: calls.append(lk) or real(lk, *a)
+        )
+        for field, depth, count in zip(FIELDS, depths, links):
+            calls.clear()
+            got, tables = hochster_calls(lambda: depth_quotient(I, field))
+            assert (got, tables, len(calls)) == (depth, [], count)
 
     def test_zero_and_unit_ideals_refuse(self):
         ctx = context_of(3)
