@@ -221,6 +221,39 @@ class TestFieldDependence:
 FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3)]
 
 
+def _ranked_links(run):
+    """run()'s result and the arguments after the facets of each
+    reduced_cohomology call it made, keyed by the link's facets."""
+    real, calls = simplicial.reduced_cohomology, []
+
+    def spy(lk, *args):
+        calls.append((lk, args))
+        return real(lk, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "reduced_cohomology", spy)
+        return run(), calls
+
+
+def _facet_intersections(I):
+    """The faces that equal the intersection of the facets holding them,
+    found by trying every subset of the variables."""
+    facets = simplicial.stanley_reisner_facets(I)
+    found = []
+    for face in range(1 << I.context.n):
+        holding = [f for f in facets if face & f == face]
+        if holding and face == _meet(holding):
+            found.append(face)
+    return facets, found
+
+
+def _meet(masks):
+    out = masks[0]
+    for m in masks[1:]:
+        out &= m
+    return out
+
+
 class TestSkippedLinks:
     """The cone test and the facet-intersection walk against full elimination."""
 
@@ -243,6 +276,20 @@ class TestSkippedLinks:
     @example(I=SquareFreeIdeal.from_supports(context_of(6), [0b001111, 0b100001, 0b111000]))
     def test_table_equals_all_faces_oracle(self, field, I):
         assert hochster_table(I, field) == hochster_table_all_faces(I, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=6, max_gens=5))
+    @settings(max_examples=60, deadline=None)
+    @example(I=projective_plane_ideal())
+    # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: equal
+    # links of different faces are each ranked
+    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
+    def test_table_ranks_each_facet_intersection_once(self, field, I):
+        facets, faces = _facet_intersections(I)
+        _, calls = _ranked_links(lambda: hochster_table(I, field))
+        expected = [tuple(f & ~face for f in facets if face & f == face) for face in faces]
+        assert sorted(lk for lk, _ in calls) == sorted(expected)
+        assert all(args == (field,) for _, args in calls)
 
     @given(
         st.integers(1, 6).flatmap(
@@ -333,6 +380,26 @@ class TestRowsBelow:
     @example(I=_coned_spheres_wedge())
     def test_depth_equals_lowest_row_of_the_table(self, field, I):
         assert depth_quotient(I, field) == min(i for i, _ in hochster_table(I, field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
+    @settings(max_examples=100, deadline=None)
+    @example(I=projective_plane_ideal())
+    @example(I=_coned_spheres_wedge())
+    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
+    def test_each_link_ranked_only_below_the_best_row(self, field, I):
+        facets, faces = _facet_intersections(I)
+        m = min(map(int.bit_count, facets))
+        depth, calls = _ranked_links(lambda: depth_quotient(I, field))
+        bounds = [args[1] for _, args in calls]
+        if m <= I.context.n - I.r + 1:
+            assert (depth, calls) == (m, [])
+        # only faces with |F| + 1 < m can give a row below m, each at most once
+        assert len(calls) <= sum(1 for face in faces if face.bit_count() + 1 < m)
+        assert all(args[0] == field for _, args in calls)
+        # best - |F| - 2 with the best row falling and |F| rising
+        assert all(b >= 0 for b in bounds)
+        assert bounds == sorted(bounds, reverse=True)
 
     def test_disconnected_link_needs_no_rank(self, monkeypatch):
         # two planes: the edges x3x4 and x1x2, so the search asks only for
