@@ -22,6 +22,7 @@ from . import cech, graphs, simplicial
 from .cech import CohomologyTable, DEFAULT_LIMITS, EngineLimits
 from .fields import FieldSpec
 from .ideals import (
+    CapExceededError,
     SquareFreeIdeal,
     VariableContext,
     check_context_cap,
@@ -63,7 +64,9 @@ class AnalysisReport:
     def agreement(self) -> bool:
         return self.vanishing_top_minus_one == (self.connected and self.dim_quotient >= 2)
 
-    def to_json(self) -> dict:
+    def payload(self) -> dict:
+        """to_json() with the table itself in place of its entries, for
+        cli._dumps, which renders a table straight from its rows."""
         return {
             "ideal": self.table.ideal.to_json(),
             "field": self.table.field.label(),
@@ -78,9 +81,14 @@ class AnalysisReport:
                 "dim_quotient": self.dim_quotient,
                 "height": self.height,
             },
-            "table": self.table.entries(),
+            "table": self.table,
             "timings": self.timings,
         }
+
+    def to_json(self) -> dict:
+        doc = self.payload()
+        doc["table"] = self.table.entries()
+        return doc
 
 
 def svt_check(table: CohomologyTable) -> AnalysisReport:
@@ -97,10 +105,10 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
     primes = minimal_primes(I)
     hypotheses = []
     for p in primes:
-        d = n - p.height
+        d, label = n - p.height, p.label()
         hypotheses.append(
             Hypothesis(
-                name=f"dim(S/{p.label()}) >= 3",
+                name=f"dim(S/{label}) >= 3",
                 holds=d >= 3,
                 evidence=f"dim(S/q) = {d}",
             )
@@ -111,7 +119,7 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
         fl = d != 2
         hypotheses.append(
             Hypothesis(
-                name=f"finite length of H^2_m(S/{p.label()})",
+                name=f"finite length of H^2_m(S/{label})",
                 holds=fl,
                 evidence="length 0 at the origin column" if fl else "an off-origin column is nonzero",
                 # evaluated on the graded quotient model S/q itself
@@ -240,6 +248,13 @@ def random_svt_sweep(
     # both caps before the names, so a huge n builds none of them
     check_context_cap(n)
     limits.check(n)
+    # n variables have 2^n supports: a larger bound only draws repeats,
+    # and one of 10**12 never finishes its first trial
+    if generator_bound > 1 << n:
+        raise CapExceededError(
+            f"the generator bound {generator_bound} exceeds the cap 2^{n} = {1 << n},"
+            f" the number of supports on {n} variables"
+        )
     context = VariableContext(tuple(f"x{i + 1}" for i in range(n)))
     rng = random.Random(seed)
     summary = SweepSummary(

@@ -56,7 +56,7 @@ def lookup(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec) -> Optional[Coh
             raise TypeError("a cache entry must be a JSON object")
         if data.get("engine") != ENGINE_VERSION:
             return None
-        return CohomologyTable(I, field, _checked_dims(I, data["entries"]))
+        return _checked_table(I, field, data["entries"])
     except FileNotFoundError:
         return None
     except (ValueError, KeyError, TypeError, RecursionError):  # JSONDecodeError is a ValueError
@@ -64,22 +64,24 @@ def lookup(cache_dir: str, I: SquareFreeIdeal, field: FieldSpec) -> Optional[Coh
         return None
 
 
-def _checked_dims(I: SquareFreeIdeal, entries) -> dict:
-    """The (i, pattern mask) -> dim map of cached entries, or ValueError.
+def _checked_table(I: SquareFreeIdeal, field: FieldSpec, entries) -> CohomologyTable:
+    """The table of cached entries, or ValueError.
 
     An entry is trusted only if local_cohomology_table could have written
     it: 0 <= i <= n, a non-empty pattern inside the union of the generator
     supports, a positive integer dimension, and no (i, pattern) twice.  The
-    table itself must be nonempty, since H^{ht I}_I(S) is nonzero.
+    table itself must be nonempty, since H^{ht I}_I(S) is nonzero.  When
+    the entries come in the order of the table's rows, as store writes
+    them, they become its rows.
     """
     n = I.context.n
     union = I.support_union()
-    dims = {}
+    dims, rows, ordered = {}, [], True
     for e in entries:
         i, names, d = e["i"], e["pattern"], e["dim"]
         if not isinstance(names, list):
             raise TypeError("cached pattern must be a list of variable names")
-        mask = I.context.mask_of(names)
+        mask, in_order = I.context.ordered_mask(names)
         if type(i) is not int or not 0 <= i <= n:
             raise ValueError(f"cached degree {i!r} is outside 0..{n}")
         if not mask or mask & ~union:
@@ -89,9 +91,14 @@ def _checked_dims(I: SquareFreeIdeal, entries) -> dict:
         if (i, mask) in dims:
             raise ValueError("cached entry repeats a degree and pattern")
         dims[(i, mask)] = d
+        rows.append((i, tuple(names), d))
+        ordered = ordered and in_order
     if not dims:
         raise ValueError("a cached table of a proper nonzero ideal cannot be empty")
-    return dims
+    table = CohomologyTable(I, field, dims)
+    if ordered and rows == sorted(rows):
+        table.rows = tuple(rows)
+    return table
 
 
 def _evict(path: str) -> bool:

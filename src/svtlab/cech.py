@@ -67,6 +67,7 @@ trusts a cached table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -183,15 +184,22 @@ class CohomologyTable:
     def nonzero_rows(self) -> list:
         return sorted({i for i, _ in self.dims})
 
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """The nonzero entries as (i, pattern names, dim), sorted by i and
+        then by the name lists compared as strings (x10 before x2).
+
+        Built on first use, naming each distinct pattern once, so dims
+        must not change after it; a cache hit sets them from the entry it
+        read when that entry lists them in this order, so it builds none.
+        """
+        names_of = self.ideal.context.names_of
+        named = {p: names_of(p) for _, p in self.dims}
+        return tuple(sorted([(i, named[p], d) for (i, p), d in self.dims.items()]))
+
     def entries(self) -> list:
-        """Sorted JSON-ready triples, nonzero entries only."""
-        names = self.ideal.context.names_of
-        out = [
-            {"i": i, "pattern": list(names(p)), "dim": d}
-            for (i, p), d in self.dims.items()
-        ]
-        out.sort(key=lambda e: (e["i"], e["pattern"]))
-        return out
+        """The rows as JSON-ready dicts."""
+        return [{"i": i, "pattern": list(names), "dim": d} for i, names, d in self.rows]
 
 
 # The Hochster walk builds the table when t <= 2r, with t the number of

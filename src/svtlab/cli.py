@@ -87,7 +87,8 @@ _LEAF = {str: _ESCAPE, int: int.__repr__, float: _SCALAR, type(None): lambda _: 
 
 def _dumps(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) byte for byte (string keys
-    only); json itself takes its pure-Python encoder for an indent."""
+    only), with a CohomologyTable written as its entries(); json itself
+    takes its pure-Python encoder for an indent."""
     leaf = _LEAF.get(type(value))
     if leaf is not None:
         return leaf(value)
@@ -96,11 +97,25 @@ def _dumps(value, pad: str = "\n") -> str:
         items, ends = [_ESCAPE(k) + ": " + _dumps(value[k], inner) for k in sorted(value)], "{}"
     elif isinstance(value, (list, tuple)):
         items, ends = [_dumps(v, inner) for v in value], "[]"
+    elif isinstance(value, cech.CohomologyTable):
+        items, ends = _table_items(value, inner), "[]"
     else:
         return _SCALAR(value)  # subclasses of str, int and float
     if not items:
         return ends
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
+def _table_items(table: cech.CohomologyTable, pad: str) -> list:
+    """The texts of the table's entries() at `pad`: one format per row, with
+    the keys "dim", "i", "pattern" in order, and each variable name escaped
+    once per table.  No pattern is empty: the piece at N = {} is zero."""
+    key, name = pad + "  ", pad + "    "
+    escaped = {s: _ESCAPE(s) for s in table.ideal.context.names}
+    row = ("{" + key + '"dim": %d,' + key + '"i": %d,' + key + '"pattern": ['
+           + name + "%s" + key + "]" + pad + "}")
+    between = "," + name
+    return [row % (d, i, between.join([escaped[s] for s in names])) for i, names, d in table.rows]
 
 
 def _emit(payload: dict, args):
@@ -131,7 +146,7 @@ def _table(I: SquareFreeIdeal, args):
 
 def cmd_analyze(args) -> int:
     table, state = _table(load_ideal(args.input), args)
-    payload = analysis.svt_check(table).to_json()
+    payload = analysis.svt_check(table).payload()
     payload["cache"] = state
     payload["sentinels"] = {
         "hlv": analysis.hlv_check(table),
@@ -150,7 +165,7 @@ def cmd_cohomology(args) -> int:
             "ideal": table.ideal.to_json(),
             "field": table.field.label(),
             "cache": state,
-            "table": table.entries(),
+            "table": table,
         },
         args,
     )
@@ -159,7 +174,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_svt(args) -> int:
     table, state = _table(load_ideal(args.input), args)
-    payload = analysis.svt_check(table).to_json()
+    payload = analysis.svt_check(table).payload()
     payload["cache"] = state
     del payload["table"]
     _emit(payload, args)

@@ -85,20 +85,31 @@ class VariableContext:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
+    @functools.cached_property
+    def _bits(self) -> dict:
+        """name -> 1 << index, built on the first name looked up."""
+        return {s: 1 << k for k, s in enumerate(self.names)}
+
+    def ordered_mask(self, names: Iterable) -> tuple:
+        """(mask of `names`, whether they list its variables once each in
+        the context's order, as names_of does)."""
+        m, ordered = 0, True
+        bit_of = self._bits
+        for s in names:
+            try:
+                b = bit_of[s]
+            except (KeyError, TypeError):  # TypeError: an unhashable name
+                raise ValueError(f"unknown variable {s!r}") from None
+            if b <= m:  # b is a power of two, so b > m iff it tops every bit of m
+                ordered = False
+            m |= b
+        return m, ordered
 
     def mask_of(self, names: Iterable) -> int:
-        m = 0
-        for s in names:
-            m |= 1 << self.index(s)
-        return m
+        return self.ordered_mask(names)[0]
 
     def names_of(self, mask: int) -> tuple:
-        return tuple(self.names[i] for i in bits(mask))
+        return tuple([self.names[i] for i in bits(mask)])
 
 
 def _check_context(a, b):

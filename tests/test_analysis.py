@@ -13,6 +13,7 @@ from svtlab.cli import parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import (
     CapExceededError,
+    CoordinatePrime,
     SquareFreeIdeal,
     VariableContext,
     dim_quotient,
@@ -74,6 +75,24 @@ class TestSvtCheck:
         assert again["verdicts"]["connected"] is False
         assert again["field"] == "rationals"
         assert {e["i"] for e in again["table"]} == {2, 3}
+
+    def test_payload_holds_the_table_itself(self):
+        table = local_cohomology_table(primes(context_of(4), ["x1", "x2"], ["x3", "x4"]), Q)
+        report = svt_check(table)
+        payload = report.payload()
+        assert payload["table"] is table
+        assert report.to_json() == {**payload, "table": table.entries()}
+
+    def test_each_prime_labelled_once(self, monkeypatch):
+        table = local_cohomology_table(primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]), Q)
+        real, labelled = CoordinatePrime.label, []
+        monkeypatch.setattr(CoordinatePrime, "label", lambda p: labelled.append(p) or real(p))
+        names = [h.name for h in svt_check(table).hypotheses]
+        assert len(labelled) == 2
+        assert names == [
+            "dim(S/P{x1,x2}) >= 3", "finite length of H^2_m(S/P{x1,x2})",
+            "dim(S/P{x3,x4,x5}) >= 3", "finite length of H^2_m(S/P{x3,x4,x5})",
+        ]
 
     def test_vacuous_flag_on_dim_two_primes(self):
         ctx = context_of(4)
@@ -278,6 +297,18 @@ class TestSweep:
         monkeypatch.setattr(analysis, "VariableContext", lambda names: pytest.fail("names built"))
         with pytest.raises(CapExceededError, match=f"^{n} variables exceeds the {cap}"):
             random_svt_sweep(n=n, generator_bound=3, trials=0, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    @pytest.mark.parametrize("n, bound", [(3, 9), (8, 257), (8, 10**12)])
+    def test_bound_over_2_to_the_n_refused_before_a_draw(self, n, bound, trials, monkeypatch):
+        monkeypatch.setattr(analysis, "random_square_free_ideal", lambda *a: pytest.fail("drawn"))
+        cap = f"bound {bound} exceeds the cap 2\\^{n} = {2**n}"
+        with pytest.raises(CapExceededError, match=cap):
+            random_svt_sweep(n=n, generator_bound=bound, trials=trials, seed=1)
+
+    def test_bound_of_every_support_is_accepted(self):
+        summary = random_svt_sweep(n=3, generator_bound=8, trials=6, seed=4)
+        assert (summary.generator_bound, summary.agreements) == (8, 6)
 
     def test_zero_trials_is_an_empty_sweep(self):
         summary = random_svt_sweep(n=4, generator_bound=3, trials=0, seed=1)

@@ -153,6 +153,46 @@ def test_pattern_outside_support_union_evicted(tmp_path):
     assert not os.path.exists(path)
 
 
+@pytest.mark.parametrize(
+    "name", ["x9", ["x2"], {"x2": 1}, 2], ids=["unknown", "list", "object", "number"]
+)
+def test_pattern_with_an_unknown_or_unhashable_name_evicted(tmp_path, name):
+    d = str(tmp_path)
+    I = make_ideal()
+    path = planted_entries(d, I, {"i": 2, "pattern": ["x1", name], "dim": 1})
+    assert cache.lookup(d, I, Q) is None
+    assert not os.path.exists(path)
+
+
+def test_analyze_counts_an_unhashable_name_as_a_miss(tmp_path, capsys):
+    d = str(tmp_path / "cache")
+    src = fixture_path("two_planes.json")
+    with open(src) as fh:
+        I = parse_ideal_document(json.load(fh))
+    planted_entries(d, I, {"i": 2, "pattern": [["x1"], "x2"], "dim": 1})
+    assert main(["analyze", "--input", src, "--cache-dir", d]) == 0
+    assert json.loads(capsys.readouterr().out)["cache"] == "miss"
+    assert cache.lookup(d, I, Q) is not None
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(2, ["x3", "x4"]), (2, ["x1", "x2"]), (3, ["x1", "x2", "x3", "x4"])],
+        [(2, ["x2", "x1"]), (2, ["x3", "x4"]), (3, ["x1", "x2", "x3", "x4"])],
+        [(2, ["x1", "x2"]), (2, ["x3", "x4"]), (3, ["x4", "x1", "x2", "x3"])],
+    ],
+    ids=["rows out of order", "names out of order", "last names out of order"],
+)
+def test_entry_out_of_table_order_is_served_in_it(tmp_path, entries):
+    # a planted entry need not list its rows as store does: the table orders them
+    d = str(tmp_path)
+    I = make_ideal()
+    planted_entries(d, I, *[{"i": i, "pattern": p, "dim": 1} for i, p in entries])
+    hit = cache.lookup(d, I, Q)
+    assert hit.rows == local_cohomology_table(I, Q).rows
+
+
 def test_well_formed_planted_entry_is_served(tmp_path):
     # the checks bound what an entry may say, not whether it is true
     d = str(tmp_path)

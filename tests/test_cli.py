@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from oracles import is_divisible
-from test_cech import NOT_DIVISIBLE
+from test_cech import FIELDS, NOT_DIVISIBLE
 
-from svtlab import cech, ideals
+from svtlab import cache, cech, ideals
 from svtlab.cli import _dumps, main, parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, SquareFreeMonomial, VariableContext
@@ -383,6 +384,24 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert json.loads(err) == expected
 
+    @pytest.mark.parametrize(
+        "ideal, shown",
+        [
+            ({"generators": [["x1", "x9"]]}, "'x9'"),
+            ({"generators": [["x1", ["x2"]]]}, "['x2']"),
+            ({"generators": [[{"x2": 1}]]}, "{'x2': 1}"),
+            ({"generators": [["x1", 2]]}, "2"),
+            ({"intersection_of_primes": [["x1"], [["x2"]]]}, "['x2']"),
+        ],
+        ids=["unknown", "nested list", "object", "number", "nested list in a prime"],
+    )
+    def test_unknown_or_unhashable_variable_is_named(self, capsys, tmp_path, ideal, shown):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({"variables": ["x1", "x2", "x3"], "ideal": ideal}))
+        code, out, err = invoke(capsys, "analyze", "--input", str(path), "--no-cache")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "input_error", "message": f"unknown variable {shown}"}
+
     def test_deeply_nested_document(self, capsys, tmp_path):
         # valid JSON, nested past what json.load reads without a RecursionError
         path = tmp_path / "nested.json"
@@ -582,6 +601,9 @@ _values = st.recursive(
 )
 
 
+ROWS = cech.CohomologyTable.rows.func  # what a spy on the rows wraps
+
+
 class TestWriter:
     """The payload writer reproduces json.dumps(indent=2, sort_keys=True)."""
 
@@ -591,6 +613,48 @@ class TestWriter:
     @example({"é\"\n": [10**40, -(10**40), float("nan"), True, False, None, ("x", 1.5)]})
     def test_equals_indented_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(
+        prefix=st.sampled_from(["x", 'a"', "b\\", "é", 'Ω\\"']),
+        n=st.integers(3, 11),
+        supports=st.lists(st.integers(1, (1 << 11) - 1), min_size=1, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(prefix="x", n=10, supports=[0b1000000011, 0b1100])  # x10 sorts before x2
+    @example(prefix='a"', n=11, supports=[0b10000000001, 0b11000, 0b1100000])
+    def test_table_rows_render_as_their_entries(self, field, prefix, n, supports):
+        ctx = VariableContext(tuple(f"{prefix}{j}" for j in range(1, n + 1)))
+        I = SquareFreeIdeal.from_supports(ctx, [g & ctx.full_mask or 1 for g in supports])
+        table = cech.local_cohomology_table(I, field, cech.EngineLimits(max_vars=n))
+        # by i, then by the name lists compared as strings
+        named = [
+            {"i": i, "pattern": list(ctx.names_of(p)), "dim": d} for (i, p), d in table.dims.items()
+        ]
+        assert table.entries() == sorted(named, key=lambda e: (e["i"], e["pattern"]))
+        expected = json.dumps({"table": table.entries()}, indent=2, sort_keys=True)
+        assert _dumps({"table": table}) == expected
+        with tempfile.TemporaryDirectory() as tmp:  # a hit's rows come from its entry
+            cache.store(tmp, I, field, table)
+            hit = cache.lookup(tmp, I, field)
+        assert hit.rows == table.rows
+        assert _dumps({"table": hit}) == expected
+
+    @pytest.mark.parametrize("command", ["analyze", "cohomology"])
+    def test_rows_built_once_on_a_miss_and_never_on_a_hit(
+        self, capsys, cache_dir, monkeypatch, command
+    ):
+        built = []
+        rows = functools.cached_property(lambda table: built.append(table) or ROWS(table))
+        rows.__set_name__(cech.CohomologyTable, "rows")
+        monkeypatch.setattr(cech.CohomologyTable, "rows", rows)
+        argv = [command, "--input", fixture_path("ex43.json"), "--cache-dir", cache_dir]
+        code, miss, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(miss)["cache"] == "miss" and len(built) == 1
+        code, hit, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(hit)["cache"] == "hit" and len(built) == 1
+        timeless = [{**json.loads(out), "cache": None, "timings": None} for out in (miss, hit)]
+        assert timeless[0] == timeless[1]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_analyze_output_is_indented_json_of_itself(self, capsys, name):
