@@ -65,8 +65,8 @@ class AnalysisReport:
         return self.vanishing_top_minus_one == (self.connected and self.dim_quotient >= 2)
 
     def payload(self) -> dict:
-        """to_json() with the table itself in place of its entries, for
-        cli._dumps, which renders a table straight from its rows."""
+        """The report as the CLI writes it, with the table itself in place of
+        its entries: cli._dumps renders a table straight from its rows."""
         return {
             "ideal": self.table.ideal.to_json(),
             "field": self.table.field.label(),
@@ -84,11 +84,6 @@ class AnalysisReport:
             "table": self.table,
             "timings": self.timings,
         }
-
-    def to_json(self) -> dict:
-        doc = self.payload()
-        doc["table"] = self.table.entries()
-        return doc
 
 
 def svt_check(table: CohomologyTable) -> AnalysisReport:

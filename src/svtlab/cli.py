@@ -15,7 +15,7 @@ from typing import Optional
 from . import analysis, cache, cech, graphs
 from .cech import EngineLimits
 from .fields import FieldSpec
-from .ideals import CapExceededError, SquareFreeIdeal, SquareFreeMonomial, VariableContext
+from .ideals import CapExceededError, SquareFreeIdeal, VariableContext, require_analyzable
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -76,7 +76,9 @@ def load_ideal(path: str) -> SquareFreeIdeal:
         raise InputError(f"{path} is not valid JSON: {e}") from e
     except RecursionError as e:
         raise InputError(f"{path} nests too deeply to read") from e
-    return parse_ideal_document(doc)
+    I = parse_ideal_document(doc)
+    require_analyzable(I)  # before the engine cap, whatever the command
+    return I
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -207,13 +209,13 @@ def cmd_surjectivity(args) -> int:
     names = [s for s in args.monomial.split(",") if s]
     if not names:
         raise InputError("--monomial needs at least one variable name")
-    x = SquareFreeMonomial.from_names(I.context, names)  # before any table is made
+    x = I.context.mask_of(names)  # before any table is made
     table, state = _table(I, args)
     surjective = cech.is_multiplication_surjective(table, args.degree, x)
     # divisible iff every variable is onto: those of x were just checked
-    rest = SquareFreeMonomial(I.context, I.context.full_mask & ~x.support)
+    rest = I.context.full_mask & ~x
     divisible = surjective and (
-        rest.is_unit or cech.is_multiplication_surjective(table, args.degree, rest)
+        not rest or cech.is_multiplication_surjective(table, args.degree, rest)
     )
     _emit(
         {

@@ -1,6 +1,7 @@
-"""Square-free monomials and monomial ideals, exactly.
+"""Square-free monomial ideals, exactly.
 
-Supports are bitmasks over the variable positions of a VariableContext.
+A square-free monomial is its support, a bitmask over the variable
+positions of a VariableContext (0 is the unit monomial).
 All values are immutable; every operation is a pure function, so the
 types are safe to share across threads.
 """
@@ -117,30 +118,6 @@ def _check_context(a, b):
         raise ContextMismatchError("operands belong to different variable contexts")
 
 
-@dataclass(frozen=True)
-class SquareFreeMonomial:
-    context: VariableContext
-    support: int  # bitmask; 0 is the unit monomial
-
-    def __post_init__(self):
-        if self.support < 0 or self.support > self.context.full_mask:
-            raise ValueError("support outside the variable context")
-
-    @classmethod
-    def from_names(cls, context: VariableContext, names: Iterable) -> "SquareFreeMonomial":
-        return cls(context, context.mask_of(names))
-
-    @property
-    def is_unit(self) -> bool:
-        return self.support == 0
-
-    def variables(self) -> tuple:
-        return self.context.names_of(self.support)
-
-    def __str__(self):
-        return "*".join(self.variables()) if self.support else "1"
-
-
 def minimize_supports(masks: Iterable) -> tuple:
     """Drop generators whose support contains another generator's support."""
     masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -214,13 +191,6 @@ class SquareFreeIdeal:
 
     def to_json(self) -> dict:
         return {"variables": list(self.context.names), "generators": self.generator_lists()}
-
-    def __str__(self):
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(
-            str(SquareFreeMonomial(self.context, g)) for g in self.generators
-        ) + ")"
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ from itertools import combinations
 from svtlab import linalg
 from svtlab.cech import (
     CohomologyTable,
-    EngineLimits,
     GradedComplex,
     build_graded_complex,
     is_multiplication_surjective,
 )
 from svtlab.fields import FieldSpec
-from svtlab.ideals import CoordinatePrime, SquareFreeIdeal, SquareFreeMonomial, bits
+from svtlab.ideals import CoordinatePrime, SquareFreeIdeal, bits
 from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
 
 
@@ -143,8 +142,7 @@ def is_divisible(table: CohomologyTable, i: int) -> bool:
     extends to arbitrary nonzero ring elements in the graded model is
     deliberately not claimed.)
     """
-    context = table.ideal.context
-    return is_multiplication_surjective(table, i, SquareFreeMonomial(context, context.full_mask))
+    return is_multiplication_surjective(table, i, table.ideal.context.full_mask)
 
 
 def brute_force_quotient_height(I: SquareFreeIdeal, prime_mask: int) -> int:
@@ -206,10 +204,9 @@ def cech_table_dims(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
     The complex of pattern N has the generator subsets T whose supports
     cover N at position |T| (all 2^r subsets are visited), so this is the
     Cech complex itself, with no skipped pattern and no duality."""
-    limits = EngineLimits(max_vars=I.context.n)
     dims = {}
     for pattern in range(1 << I.context.n):
-        cx = build_graded_complex(I, pattern, limits)
+        cx = build_graded_complex(I, pattern)
         for i, d in _complex_dims(cx, field).items():
             dims[(i, pattern)] = d
     return dims

@@ -32,7 +32,6 @@ from svtlab.fields import FieldSpec
 from svtlab.graphs import is_connected, punctured_spectrum_connected, theta_graph
 from svtlab.ideals import (
     SquareFreeIdeal,
-    SquareFreeMonomial,
     VariableContext,
     dim_quotient,
     intersect,
@@ -141,14 +140,14 @@ def test_criterion_05_surjectivity_fixtures():
     ctx3 = context_of(3)
     m_table = local_cohomology_table(SquareFreeIdeal.maximal(ctx3), Q)
     m_checks = [
-        is_multiplication_surjective(m_table, 3, SquareFreeMonomial(ctx3, 1 << j))
+        is_multiplication_surjective(m_table, 3, 1 << j)
         for j in range(3)
     ] + [is_divisible(m_table, 3)]
 
     ctx2 = VariableContext(("x", "y"))
     y_table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx2, [0b10]), Q)  # (y)
-    x = SquareFreeMonomial.from_names(ctx2, ["x"])
-    y = SquareFreeMonomial.from_names(ctx2, ["y"])
+    x = ctx2.mask_of(["x"])
+    y = ctx2.mask_of(["y"])
     split_checks = [
         not is_multiplication_surjective(y_table, 1, x),
         is_multiplication_surjective(y_table, 1, y),

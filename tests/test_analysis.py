@@ -9,7 +9,7 @@ from oracles import hochster_table_all_faces, prime_ideal
 
 from svtlab import analysis, cech, graphs
 from svtlab.cech import EngineLimits, local_cohomology_table
-from svtlab.cli import parse_ideal_document
+from svtlab.cli import _dumps, parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import (
     CapExceededError,
@@ -68,9 +68,8 @@ class TestSvtCheck:
     def test_report_json_round_trips(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
-        doc = svt_check(local_cohomology_table(I, Q)).to_json()
-        blob = json.dumps(doc, sort_keys=True)
-        again = json.loads(blob)
+        report = svt_check(local_cohomology_table(I, Q))
+        again = json.loads(_dumps(report.payload()))
         assert again["verdicts"]["agreement"] is True
         assert again["verdicts"]["connected"] is False
         assert again["field"] == "rationals"
@@ -79,9 +78,7 @@ class TestSvtCheck:
     def test_payload_holds_the_table_itself(self):
         table = local_cohomology_table(primes(context_of(4), ["x1", "x2"], ["x3", "x4"]), Q)
         report = svt_check(table)
-        payload = report.payload()
-        assert payload["table"] is table
-        assert report.to_json() == {**payload, "table": table.entries()}
+        assert report.payload()["table"] is table
 
     def test_each_prime_labelled_once(self, monkeypatch):
         table = local_cohomology_table(primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]), Q)

@@ -23,7 +23,6 @@ from svtlab.fields import FieldSpec
 from svtlab.ideals import (
     CapExceededError,
     SquareFreeIdeal,
-    SquareFreeMonomial,
     VariableContext,
     bits,
     dim_quotient,
@@ -102,6 +101,14 @@ class TestGradedComplex:
         cx = build_graded_complex(I, 0)
         assert cx.active[0] == [0]
         assert cx.active[1] == [1]
+
+    def test_no_variable_cap(self):
+        # the oracle pays 2^r, which n does not bound, so n past the
+        # engine's default cap builds like any other
+        ctx = context_of(DEFAULT_LIMITS.max_vars + 1)
+        I = SquareFreeIdeal.from_supports(ctx, [0b11, 0b1100, 1 << (ctx.n - 1)])
+        cx = build_graded_complex(I, I.support_union())
+        assert [len(level) for level in cx.active] == [0, 0, 0, 1]
 
 
 class TestTableExamples:
@@ -368,6 +375,20 @@ class TestStructuralInvariants:
         table = local_cohomology_table(I, Q)
         assert (not table.is_row_zero(I.context.n)) == is_m_primary(I)
 
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(proper_ideals(min_n=1, max_n=6, max_gens=5))
+    @settings(max_examples=40, deadline=None)
+    def test_row_zero_builds_no_row(self, field, I):
+        table = local_cohomology_table(I, field)
+        expected = [not table.row(i) for i in range(-1, I.context.n + 2)]
+
+        def refuse(self, i):
+            raise AssertionError("a row was built")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cech.CohomologyTable, "row", refuse)
+            assert [table.is_row_zero(i) for i in range(-1, I.context.n + 2)] == expected
+
     @given(proper_ideals(max_n=4))
     @settings(max_examples=25, deadline=None)
     def test_redundant_generators_change_nothing(self, I):
@@ -405,8 +426,8 @@ class TestMultiplication:
         # I = (y) in k[x, y]: y acts surjectively on H^1, x does not
         ctx = VariableContext(("x", "y"))
         I = SquareFreeIdeal.from_supports(ctx, [0b10])
-        x = SquareFreeMonomial.from_names(ctx, ["x"])
-        y = SquareFreeMonomial.from_names(ctx, ["y"])
+        x = ctx.mask_of(["x"])
+        y = ctx.mask_of(["y"])
         table = local_cohomology_table(I, Q)
         assert is_multiplication_surjective(table, 1, y)
         assert not is_multiplication_surjective(table, 1, x)
@@ -416,7 +437,14 @@ class TestMultiplication:
         ctx = context_of(2)
         table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx, [0b01]), Q)
         with pytest.raises(ValueError):
-            is_multiplication_surjective(table, 1, SquareFreeMonomial(ctx, 0))
+            is_multiplication_surjective(table, 1, 0)
+
+    @pytest.mark.parametrize("x", [-1, 0b100, 0b111])
+    def test_mask_outside_the_context_rejected(self, x):
+        ctx = context_of(2)
+        table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx, [0b01]), Q)
+        with pytest.raises(ValueError):
+            is_multiplication_surjective(table, 1, x)
 
     def test_map_shape_and_iso_step(self):
         ctx = context_of(3)
@@ -448,9 +476,9 @@ class TestMultiplication:
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
         table = local_cohomology_table(I, Q)
-        x1 = SquareFreeMonomial.from_names(ctx, ["x1"])
-        x2 = SquareFreeMonomial.from_names(ctx, ["x2"])
-        x12 = SquareFreeMonomial.from_names(ctx, ["x1", "x2"])
+        x1 = ctx.mask_of(["x1"])
+        x2 = ctx.mask_of(["x2"])
+        x12 = ctx.mask_of(["x1", "x2"])
         for i in (2, 3):
             both = is_multiplication_surjective(table, i, x1) and (
                 is_multiplication_surjective(table, i, x2)
@@ -460,7 +488,7 @@ class TestMultiplication:
     def test_three_axes_x1_surjective_on_h2(self):
         # from the sequence for x1, the cokernel is H^2_{(x2x3)}(k[x2, x3]) = 0
         I = three_axes()
-        x1 = SquareFreeMonomial.from_names(I.context, ["x1"])
+        x1 = I.context.mask_of(["x1"])
         table = local_cohomology_table(I, Q)
         assert is_multiplication_surjective(table, 2, x1)
         assert is_divisible(table, 2)
@@ -526,7 +554,7 @@ class TestMultiplicationAgainstOracles:
                 [g & low | g >> (j + 1) << j for g in I.generators if not g >> j & 1],
             )
             cokernel_zero = all(i != cd for i, _ in cech_table_dims(J, field))
-            x = SquareFreeMonomial(I.context, 1 << j)
+            x = 1 << j
             assert is_multiplication_surjective(table, cd, x) == cokernel_zero
 
 

@@ -19,7 +19,7 @@ from test_cech import FIELDS, NOT_DIVISIBLE
 from svtlab import cache, cech, ideals
 from svtlab.cli import _dumps, main, parse_ideal_document
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, SquareFreeMonomial, VariableContext
+from svtlab.ideals import SquareFreeIdeal, VariableContext
 
 
 def all_subsets_document(n, k):
@@ -294,7 +294,7 @@ class TestCrossCommand:
             I = parse_ideal_document(json.load(fh))
         n = I.context.n
         table = cech.local_cohomology_table(I, FieldSpec.parse(field), cech.EngineLimits(max_vars=n))
-        x = SquareFreeMonomial(I.context, 1)
+        x = 1  # the support mask of the first variable
         not_divisible = []
         for i in range(-1, n + 2):
             code, out, err = invoke(
@@ -369,20 +369,34 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "generators, kind", [([], "zero"), ([[]], "unit")], ids=["zero", "unit"]
     )
-    def test_zero_and_unit_ideals_share_one_message(self, capsys, tmp_path, generators, kind):
-        names = ["x1", "x2", "x3"]
+    @pytest.mark.parametrize("n", [3, 9])  # 9 tops the default engine cap of 8
+    def test_zero_and_unit_ideals_share_one_message(
+        self, capsys, tmp_path, monkeypatch, generators, kind, n
+    ):
+        names = [f"x{k}" for k in range(1, n + 1)]
         bad, good = tmp_path / "bad.json", tmp_path / "good.json"
         bad.write_text(json.dumps({"variables": names, "ideal": {"generators": generators}}))
         good.write_text(json.dumps({"variables": names, "ideal": {"generators": [["x1", "x2"]]}}))
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "cache"))
         expected = {"error": "input_error", "message": f"the {kind} ideal is not accepted here"}
+        cached = [
+            ["analyze"],
+            ["cohomology"],
+            ["svt"],
+            ["surjectivity", "--degree", "1", "--monomial", "x1"],
+        ]
         for argv in (
-            ["analyze", "--input", str(bad), "--no-cache"],
+            *[[*c, "--input", str(bad)] for c in cached],
+            *[[*c, "--input", str(bad), "--no-cache"] for c in cached],
+            ["graph", "--kind", "theta", "--input", str(bad)],
+            ["graph", "--kind", "gamma", "--input", str(bad)],
             ["mv", "--input", str(bad), "--second", str(good)],
             ["mv", "--input", str(good), "--second", str(bad)],
         ):
             code, out, err = invoke(capsys, *argv)
-            assert code == 1 and out == ""
-            assert json.loads(err) == expected
+            assert (code, out) == (1, ""), argv
+            assert json.loads(err) == expected, argv
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize(
         "ideal, shown",

@@ -9,7 +9,6 @@ from svtlab.ideals import (
     ContextMismatchError,
     IdealDomainError,
     SquareFreeIdeal,
-    SquareFreeMonomial,
     VariableContext,
     dim_quotient,
     height,
@@ -37,11 +36,6 @@ class TestContext:
     def test_rejects_too_many_variables(self):
         with pytest.raises(CapExceededError):
             VariableContext(tuple(f"x{i}" for i in range(17)))
-
-    def test_monomial_str(self):
-        ctx = context_of(3)
-        assert str(SquareFreeMonomial.from_names(ctx, ["x1", "x3"])) == "x1*x3"
-        assert str(SquareFreeMonomial(ctx, 0)) == "1"
 
 
 class TestIntersect:
