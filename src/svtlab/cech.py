@@ -207,17 +207,21 @@ class CohomologyTable:
 # Each walk's time per ideal is the minimum of 25 runs (five rounds of
 # five), summed in ms per pool: the benchmark's seed-1 pools (cold_analyze's
 # 144 ideals, warm_analyze's 360 set-up ideals) and 48 seeded intersections
-# of 2-5 coordinate primes at n 9..12 (CPython 3.11, one core of an Intel
-# Xeon); in brackets, the ideals sent to the Hochster walk:
+# of 2-5 coordinate primes of 2..n-2 variables at n 9..12 (CPython 3.11,
+# one core of an Intel Xeon, graphs read without a rank and GF(2) ranked
+# on bit rows); in brackets, the ideals sent to the Hochster walk:
 #
 #   rule                  cold        warm set-up   prime intersections
-#   pattern walk only   120.6  [0]     99.0   [0]      133.1  [0]
-#   Hochster walk only   41.9 [144]   162.0 [360]        9.8 [48]
-#   t <= r               88.6  [61]    98.0  [12]        9.8 [48]
-#   t <= 1.5r            48.4 [129]    95.3  [54]        9.8 [48]
-#   t <= 2r              42.1 [142]    95.3 [167]        9.8 [48]
-#   t <= 3r              41.9 [144]   115.3 [275]        9.8 [48]
-#   per-ideal best       41.9          88.4              9.8
+#   pattern walk only   111.0  [0]     93.3   [0]      103.0  [0]
+#   Hochster walk only   30.4 [144]   121.2 [360]        9.5 [48]
+#   t <= r               79.5  [61]    92.3  [12]        9.5 [48]
+#   t <= 1.5r            38.2 [129]    89.5  [54]        9.5 [48]
+#   t <= 2r              31.1 [142]    85.8 [167]        9.5 [48]
+#   t <= 3r              30.4 [144]    93.9 [275]        9.5 [48]
+#   per-ideal best       30.4          79.1              9.5
+#
+# No rule beats t <= 2r on both pools: t <= 3r saves 0.7 ms cold and
+# costs 8.1 ms warm.
 #
 # Few generators over many facets is where the pattern walk wins: its memo
 # holds a handful of generator-side classes, while the Hochster walk

@@ -138,6 +138,21 @@ class TestRank:
         assert rank([{0: 2, 1: 0}, {0: 3, 1: 5}], Q) == 2
         assert rank([{0: 3, 1: 0}], FieldSpec(3)) == 0
 
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            [[2, -4, 6], [1, 1, 0]],  # a row whose entries are all even is zero
+            [[-1, -3, 0], [1, 3, 0], [0, -3, 5]],  # odd negative entries are 1
+            # column 70 apart from column 6 (70 - 64) and from column 0
+            [[0] * 70 + [1], [0] * 6 + [1] + [0] * 64, [1] + [0] * 69 + [-3]],
+            [[1] + [0] * 74 + [1], [0] * 74 + [3, -1], [1] + [0] * 73 + [1, 2, 0]],
+        ],
+        ids=["even_row", "odd_negative", "column_70", "columns_past_64"],
+    )
+    def test_gf2_bit_rows(self, dense):
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert rank(sparse, FieldSpec(2)) == dense_rank(dense, FieldSpec(2))
+
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(dense=small_int_matrices(), keep=st.lists(st.booleans(), min_size=144, max_size=144))
     @settings(max_examples=150, deadline=None)

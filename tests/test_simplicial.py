@@ -461,6 +461,16 @@ def complexes(draw, max_n=7):
     return SimplicialComplex(n, maximal_faces(masks))
 
 
+@st.composite
+def graphs(draw, max_n=7):
+    """Any complex of dimension at most 1 on at most max_n vertices: VOID,
+    EMPTY, or vertices and edges."""
+    n = draw(st.integers(1, max_n))
+    small = st.sampled_from([m for m in range(1 << n) if m.bit_count() <= 2])
+    masks = draw(st.lists(small, max_size=10))
+    return SimplicialComplex(n, maximal_faces(masks))
+
+
 class TestStarLemma:
     """H~^d(K) = H^d(K, st v) against elimination on every face of K."""
 
@@ -500,12 +510,55 @@ class TestStarLemma:
             bounded = reduced_cohomology(delta.facets, field, max_degree)
         assert bounded == {d: h for d, h in full.items() if d <= max_degree}
 
+    @given(complexes(max_n=8))
+    @settings(max_examples=150, deadline=None)
+    @example(delta=_RP2)  # each vertex in five triangles: x1
+    # x2, x3, x4, x5 in two facets each: x2
+    @example(delta=SimplicialComplex(5, (0b00111, 0b11100, 0b11010)))
+    # x5 in three facets, x1 in two
+    @example(delta=SimplicialComplex(5, (0b10011, 0b10101, 0b11000)))
+    def test_star_vertex_in_most_facets_lowest_on_ties(self, delta):
+        facets, calls = delta.facets, []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(simplicial, "relative_cohomology", lambda *a: calls.append(a[:2]) or {})
+            reduced_cohomology(facets, Q)
+        if max(map(int.bit_count, facets), default=0) <= 2:
+            assert calls == []
+        else:
+            counts = [sum(f >> v & 1 for f in facets) for v in range(delta.n)]
+            v = counts.index(max(counts))
+            assert calls == [([f for f in facets if not f >> v & 1], [f for f in facets if f >> v & 1])]
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_boundary_of_simplex_needs_no_rank(self, n):
         # every face but the one opposite v lies in st v: one face, no coboundary
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("one face needs no rank"))
             assert reduced_cohomology(_simplex_boundary(n).facets, Q) == {n - 2: 1}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(graphs(), st.one_of(st.none(), st.integers(-1, 2)))
+    @settings(max_examples=150, deadline=None)
+    # the hollow triangle: E - V + c = 3 - 3 + 1
+    @example(delta=SimplicialComplex(3, (0b011, 0b101, 0b110)), max_degree=None)
+    # two disjoint hollow triangles
+    @example(
+        delta=SimplicialComplex(6, (0b000011, 0b000101, 0b000110, 0b011000, 0b101000, 0b110000)),
+        max_degree=None,
+    )
+    # the tree x1x2, x2x3, x2x4 and the isolated vertices x5, x6, which are
+    # facets but not edges
+    @example(delta=SimplicialComplex(6, (0b000011, 0b000110, 0b001010, 0b010000, 0b100000)),
+             max_degree=None)
+    # one edge: contractible
+    @example(delta=SimplicialComplex(2, (0b11,)), max_degree=None)
+    @example(delta=SimplicialComplex(3, (0b011, 0b101, 0b110)), max_degree=0)
+    def test_graph_needs_no_rank(self, field, delta, max_degree):
+        full = reduced_cohomology_by_elimination(delta, field)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(linalg, "rank", lambda *a: pytest.fail("a graph needs no rank"))
+            got = reduced_cohomology(delta.facets, field, max_degree)
+        assert got == {d: h for d, h in full.items() if max_degree is None or d <= max_degree}
 
 
 @st.composite
