@@ -12,12 +12,12 @@ It checks the reported table the same way.  local_cohomology_table
 builds that table from the Hochster walk itself unless the Stanley-Reisner
 complex has more than 2r facets (only ci_two_cubics.json does), so for
 the other fixtures the pattern walk is the independent side.
-The depth sentinel (hochster_depth=) checks the report's depth against
-the lowest row of that full Hochster table.  depth_quotient returns the
-smallest facet size m when m <= n - r + 1 (its two bounds, n - r <= depth
-<= m, settle it; triangle_and_edge.json takes the m = n - r + 1 case), and
-only when m > n - r + 1 searches the links for a lower row, without
-building the table this sentinel reads.
+The depth sentinel (hochster_depth=) checks the report's depth, n - cd of
+the reported table (cd = pd(S/I) by Lyubeznik, depth = n - pd by
+Auslander-Buchsbaum), against the lowest row of that full Hochster table.
+The two are independent only where the reported table came from the
+pattern walk (ci_two_cubics.json); for every other fixture the reported
+table is the reindexed Hochster table, and the check follows from duality=.
 Each table is built with the variable cap raised to the fixture's own
 number of variables, so the nine-variable fixture is checked too.
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional
 
-from . import cech, graphs, simplicial
+from . import cech, graphs
 from .cech import CohomologyTable, DEFAULT_LIMITS, EngineLimits
 from .fields import FieldSpec
 from .ideals import (
@@ -92,7 +92,7 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
     Hypothesis failures are recorded, never fatal: the verdicts are still
     computed so a disagreement outside the hypotheses is visible.
     """
-    I, field = table.ideal, table.field
+    I = table.ideal
     n = I.context.n
     timings: Dict[str, float] = {}
 
@@ -135,10 +135,6 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
     q = cech.q_invariant(table)
     timings["cohomology"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    depth = simplicial.depth_quotient(I, field)
-    timings["depth"] = time.monotonic() - t0
-
     return AnalysisReport(
         hypotheses=hypotheses,
         connected=connected,
@@ -147,7 +143,9 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
         height=ht,
         cd=cd,
         q=q,
-        depth=depth,
+        # cd(I) = pd(S/I) for a square-free monomial ideal (G. Lyubeznik,
+        # LNM 1092, 1984), and depth = n - pd (Auslander-Buchsbaum)
+        depth=n - cd,
         table=table,
         timings=timings,
     )

@@ -6,7 +6,7 @@ exactly the empty face, and Hochster's formula needs H~^{-1}(EMPTY) = k.
 
 Hochster's formula (M. Hochster, "Cohen-Macaulay rings, combinatorics, and
 simplicial complexes", 1977) reads H^i_m(S/I)_F = H~^{i-|F|-1}(lk F) for the
-Stanley-Reisner complex of I.  Six facts keep it cheap:
+Stanley-Reisner complex of I.  Four facts keep it cheap:
 
 - One kernel, relative_cohomology, gives H^d(K, L) for a subcomplex L
   holding the empty face: the faces of K outside L are upward closed, and
@@ -18,29 +18,16 @@ Stanley-Reisner complex of I.  Six facts keep it cheap:
 - A complex of dimension at most 1 (a graph) needs no rank: rank d^0 =
   V - c over every field, for V vertices and c components, so H~^0 =
   c - 1 and H~^1 = E - V + c for E edges.  Of the 5,287 links that the
-  table and the depth visit on the benchmark's seed-1 cold pool, 1,164
-  are EMPTY and 2,121 are graphs.
+  table and a separate depth search visited on the benchmark's seed-1
+  cold pool, 1,164 were EMPTY and 2,121 graphs.
 - The facets of lk F are G minus F for the facets G that contain F, so
   lk F is a cone exactly when those facets meet in more than F.  Only a
   face that is an intersection of facets (the empty face included when
-  all facets meet in it) can carry cohomology, and hochster_table and
-  depth_quotient visit only those.
-- When depth_quotient searches (the last fact says when), it wants only
-  the lowest nonzero row, which is at most the smallest facet size m (a
-  facet's link is EMPTY).  It visits the intersections by size and ranks
-  lk F only in the degrees d <= best - |F| - 2 that could beat the best
-  row found so far, reading d = 0 from the components of the link without
-  a rank (the second fact); it stops at the first F with |F| + 1 >= best,
-  since a face that is not a facet has no row below |F| + 1.
+  all facets meet in it) can carry cohomology, and hochster_table
+  visits only those.
 - S/P for a coordinate prime P is a polynomial ring in d = n - ht P
   variables (its complex is a simplex), so H^i_m(S/P) is nonzero only at
   i = d; analysis.svt_check uses that instead of a table per prime.
-- n - r <= depth(S/I) <= m, with r the number of minimal generators: the
-  Taylor resolution has length r, so pd(S/I) <= r and Auslander-Buchsbaum
-  gives the lower bound.  The bounds meet at m = n - r, and at
-  m = n - r + 1 the top Taylor Betti number vanishes (depth_quotient has
-  the argument), so depth_quotient returns m and searches the links
-  only when m > n - r + 1.
 """
 
 from __future__ import annotations
@@ -232,39 +219,10 @@ def hochster_table(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int]
     return table
 
 
+# Used by the tests only; stays while perfbench/tracer.py wraps it by name.
 def depth_quotient(I: SquareFreeIdeal, field: FieldSpec) -> int:
-    """depth(S/I) = min i with H^i_m(S/I) nonzero, over any field.
-
-    Each facet's link is EMPTY, so row m, the smallest facet size, is
-    nonzero.  The Taylor resolution of S/I (D. Taylor, "Ideals generated by
-    monomials in an R-sequence", thesis, Chicago 1966) is free of length r,
-    the number of minimal generators, so n - m = bigheight(I) <= pd(S/I)
-    <= r, and Auslander-Buchsbaum (M. Auslander, D. A. Buchsbaum,
-    "Homological dimension in local rings", Trans. AMS 85, 1957), depth =
-    n - pd, gives n - r <= depth <= m.  At m = n - r the bounds meet.
-
-    At m = n - r + 1, depth = n - r would need beta_r(S/I) != 0.  The top
-    Taylor differential sends e_[r] to the sum over t of
-    +-(lcm / lcm of the others) e_([r] minus t), so beta_r != 0 exactly
-    when every generator has a variable no other generator has.  Those r
-    variables then span a minimal prime of height r, so m = n - r.
-
-    So depth = m whenever m <= n - r + 1, and only otherwise are the facet
-    intersections searched for a lower row (the module docstring says how).
-    """
-    facets = stanley_reisner_facets(I)
-    best = min(map(int.bit_count, facets))
-    if best <= I.context.n - I.r + 1:
-        return best
-    for face in _intersections(facets):
-        size = face.bit_count()
-        if size + 1 >= best:
-            break
-        lk = tuple(f & ~face for f in facets if face & f == face)
-        coh = reduced_cohomology(lk, field, best - size - 2)
-        if coh:
-            best = min(coh) + size + 1
-    return best
+    """depth(S/I) = min i with H^i_m(S/I) nonzero, over any field."""
+    return min(i for i, _ in hochster_table(I, field))
 
 
 # Used by the tests only; stays while perfbench/tracer.py wraps it by name.

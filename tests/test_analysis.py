@@ -1,13 +1,15 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import hochster_table_all_faces, prime_ideal
+from test_cech import FIELDS, projective_plane_ideal
 
-from svtlab import analysis, cech, graphs
+from svtlab import analysis, cech, graphs, simplicial
 from svtlab.cech import EngineLimits, local_cohomology_table
 from svtlab.cli import _dumps, parse_ideal_document
 from svtlab.fields import FieldSpec
@@ -34,6 +36,19 @@ Q = FieldSpec(0)
 
 def primes(ctx, *lists):
     return SquareFreeIdeal.intersection_of_primes(ctx, list(lists))
+
+
+def _coned_spheres_wedge():
+    """Two hollow tetrahedra on x1x2x3x4 and x1x9x10x11, each triangle
+    coned by a vertex of its own, so K is two 2-spheres wedged at x1: n 15,
+    r 71, m 4, depth 2."""
+    facets = []
+    for tetrahedron, apexes in (((0, 1, 2, 3), (4, 5, 6, 7)), ((0, 8, 9, 10), (11, 12, 13, 14))):
+        for triangle, apex in zip(combinations(tetrahedron, 3), apexes):
+            facets.append({*triangle, apex})
+    return primes(
+        context_of(15), *([f"x{v + 1}" for v in range(15) if v not in f] for f in facets)
+    )
 
 
 class TestSvtCheck:
@@ -102,6 +117,29 @@ class TestSvtCheck:
         report = svt_check(local_cohomology_table(J, Q))
         fl = [h for h in report.hypotheses if "finite" in h.name.lower()]
         assert fl and fl[0].vacuous
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @pytest.mark.parametrize(
+        "I, limits, depths",
+        [
+            # depth 3, 2 and 3: H~^1 of RP^2 is 2-torsion
+            (projective_plane_ideal(), EngineLimits(), (3, 2, 3)),
+            # m 4 > n - r + 1: the wedge point's disconnected link gives row 2
+            (_coned_spheres_wedge(), EngineLimits(max_vars=15), (2, 2, 2)),
+        ],
+        ids=["rp2", "coned_spheres_wedge"],
+    )
+    def test_depth_is_read_off_the_table(self, monkeypatch, I, limits, depths, field):
+        # cd(I) = pd(S/I) and depth = n - pd, so no link is ranked again
+        table = local_cohomology_table(I, field, limits)
+        calls = []
+        for name in ("reduced_cohomology", "hochster_table", "depth_quotient"):
+            real = getattr(simplicial, name)
+            monkeypatch.setattr(
+                simplicial, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        assert svt_check(table).depth == depths[FIELDS.index(field)]
+        assert calls == []
 
     @given(proper_ideals())
     @settings(max_examples=20, deadline=None)

@@ -27,6 +27,7 @@ from svtlab.ideals import (
     bits,
     dim_quotient,
     height,
+    stanley_reisner_facets,
 )
 from svtlab.simplicial import depth_quotient
 from svtlab.cech import (
@@ -194,6 +195,10 @@ def projective_plane_ideal():
     return SquareFreeIdeal.from_supports(context_of(6), non_faces)
 
 
+# (x1x2, x3x4): facets x1x3, x1x4, x2x3, x2x4, so m = 2 = n - r
+TWO_DISJOINT_EDGES = SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100])
+
+
 class TestAgainstCechOracle:
     """Both walks against the full 2^r Cech complex of every pattern."""
 
@@ -352,20 +357,50 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
     @settings(max_examples=150, deadline=None)
-    # m = n - r: depth_quotient returns m from its two bounds
-    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]))
-    # (x1x2, x2x3, x1x3, x4x5): m = n - r + 1, settled without a walk too
+    # m = n - r: the two bounds on the depth meet, depth 2
+    @example(I=TWO_DISJOINT_EDGES)
+    # triangle_and_edge, (x1x2, x2x3, x1x3, x4x5): m = n - r + 1, no
+    # generator has a variable of its own, so beta_r = 0 and depth 2
     @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00011, 0b00110, 0b00101, 0b11000]))
-    # RP^2: m > n - r + 1, the links are walked; cd 3, 4 and 3
+    # RP^2: m > n - r + 1; depth 3 over Q and GF(3), 2 over GF(2), from
+    # H~^1 of the whole complex; cd 3, 4 and 3
     @example(I=projective_plane_ideal())
+    # I = m: the EMPTY complex, depth 0
+    @example(I=SquareFreeIdeal.maximal(context_of(3)))
+    # two planes meeting in a point: a disconnected complex, depth 1
+    @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
+    # (x1 x2) in three variables: a cone over x3, Cohen-Macaulay of depth 2
+    @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011]))
+    # an annulus of six triangles: H~^1 = k in every characteristic, depth 2
+    @example(I=SquareFreeIdeal.from_supports(
+        context_of(6), [0b000111, 0b001100, 0b010001, 0b100010, 0b111000]
+    ))
+    # lk x6 has facets x2x3, x2x5, x3x5, x1x4x7, x1x5x7 in that order: the
+    # last one joins the fourth to the rest, so connectivity needs a second pass
+    @example(I=SquareFreeIdeal.from_supports(
+        context_of(7), [0b101, 0b1010, 0b1100, 0b10110, 0b11000, 0b100011, 0b1000010, 0b1000100]
+    ))
+    # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: its
+    # H~^2 is row 3, the depth, at x1 and row 5, above m = 4, at x2x3
+    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
     def test_cd_equals_n_minus_depth(self, field, I):
         # independent oracle: cohomological dimension of a monomial ideal
         # (Mustata's formula on the Dowker complexes) matches n - depth(S/I),
-        # with depth read off the quotient side
-        table = pattern_table(I, field)
-        assert cohomological_dimension(table) == (
-            I.context.n - depth_quotient(I, field)
-        )
+        # with depth the lowest row of the Hochster table on the quotient side
+        n, r = I.context.n, I.r
+        depth = depth_quotient(I, field)
+        assert cohomological_dimension(pattern_table(I, field)) == n - depth
+        # a facet's link is EMPTY, so row m, the smallest facet size, is
+        # nonzero; the Taylor resolution has length r, so pd(S/I) <= r and
+        # Auslander-Buchsbaum gives depth >= n - r
+        m = min(map(int.bit_count, stanley_reisner_facets(I)))
+        assert n - r <= depth <= m
+        # at m = n - r + 1, depth n - r would need the top Taylor Betti
+        # number beta_r(S/I), nonzero exactly when each generator has a
+        # variable no other has; those r variables span a minimal prime of
+        # height r, so m = n - r
+        if m <= n - r + 1:
+            assert depth == m
 
     @given(proper_ideals())
     @settings(max_examples=25, deadline=None)

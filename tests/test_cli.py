@@ -16,7 +16,7 @@ from conftest import FIXTURES, fixture_path
 from oracles import is_divisible
 from test_cech import FIELDS, NOT_DIVISIBLE
 
-from svtlab import cache, cech, ideals
+from svtlab import cache, cech, ideals, simplicial
 from svtlab.cli import _dumps, main, parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, VariableContext
@@ -669,6 +669,21 @@ class TestWriter:
         assert code == 0 and json.loads(hit)["cache"] == "hit" and len(built) == 1
         timeless = [{**json.loads(out), "cache": None, "timings": None} for out in (miss, hit)]
         assert timeless[0] == timeless[1]
+
+    @pytest.mark.parametrize(
+        "field, depth, cd", [("rationals", 3, 3), ("2", 2, 4), ("3", 3, 3)], ids=["Q", "GF(2)", "GF(3)"]
+    )
+    def test_analyze_hit_ranks_no_link(self, capsys, cache_dir, monkeypatch, field, depth, cd):
+        argv = ["analyze", "--input", fixture_path("rp2.json"), "--field", field]
+        argv += ["--cache-dir", cache_dir]
+        code, miss, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(miss)["cache"] == "miss"
+        real, calls = simplicial.reduced_cohomology, []
+        monkeypatch.setattr(simplicial, "reduced_cohomology", lambda *a: calls.append(a) or real(*a))
+        code, hit, _ = invoke(capsys, *argv)
+        doc = json.loads(hit)
+        assert (code, doc["cache"], calls) == (0, "hit", [])
+        assert (doc["verdicts"]["depth"], doc["verdicts"]["cd"]) == (depth, cd)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_analyze_output_is_indented_json_of_itself(self, capsys, name):

@@ -1,5 +1,4 @@
 import json
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ from oracles import (
     reduced_euler_characteristic,
     relative_cohomology_by_elimination,
 )
-from test_cech import hochster_calls, projective_plane_ideal
+from test_cech import projective_plane_ideal
 
 from svtlab import linalg, simplicial
 from svtlab.cli import parse_ideal_document
@@ -320,114 +319,14 @@ def _two_planes():
     return _fixture("two_planes.json")
 
 
-# (x1x2, x3x4): facets x1x3, x1x4, x2x3, x2x4, so m = 2 = n - r
-TWO_DISJOINT_EDGES = SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100])
-
-
-def _triangle_and_edge():
-    """(x1x2, x2x3, x1x3, x4x5): m = 2 = n - r + 1, no generator has a
-    variable of its own, depth 2."""
-    return _fixture("triangle_and_edge.json")
-
-
-def _coned_spheres_wedge():
-    """Two hollow tetrahedra on x1x2x3x4 and x1x9x10x11, each triangle
-    coned by a vertex of its own, so K is two 2-spheres wedged at x1: n 15,
-    r 71, m 4, depth 2."""
-    facets = []
-    for tetrahedron, apexes in (((0, 1, 2, 3), (4, 5, 6, 7)), ((0, 8, 9, 10), (11, 12, 13, 14))):
-        for triangle, apex in zip(combinations(tetrahedron, 3), apexes):
-            facets.append({*triangle, apex})
-    return primes(
-        context_of(15), *([f"x{v + 1}" for v in range(15) if v not in f] for f in facets)
-    )
-
-
 class TestRowsBelow:
-    """depth_quotient, which returns the smallest facet size m when
-    m <= n - r + 1 and otherwise searches the links for a row below m,
-    against the full table."""
-
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
-    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
-    @settings(max_examples=150, deadline=None)
-    # RP^2: depth 3 over Q, 2 over GF(2), from H~^1 of the whole complex
-    @example(I=projective_plane_ideal())
-    # I = m: the EMPTY complex, depth 0
-    @example(I=SquareFreeIdeal.maximal(context_of(3)))
-    # two planes meeting in a point: a disconnected complex, depth 1
-    @example(I=_two_planes())
-    # (x1 x2) in three variables: a cone over x3, Cohen-Macaulay of depth 2
-    @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011]))
-    # an annulus of six triangles: H~^1 = k in every characteristic, depth 2
-    @example(I=SquareFreeIdeal.from_supports(
-        context_of(6), [0b000111, 0b001100, 0b010001, 0b100010, 0b111000]
-    ))
-    # lk x6 has facets x2x3, x2x5, x3x5, x1x4x7, x1x5x7 in that order: the
-    # last one joins the fourth to the rest, so connectivity needs a second pass
-    @example(I=SquareFreeIdeal.from_supports(
-        context_of(7), [0b101, 0b1010, 0b1100, 0b10110, 0b11000, 0b100011, 0b1000010, 0b1000100]
-    ))
-    # m = n - r: the two bounds on the depth meet, depth 2
-    @example(I=TWO_DISJOINT_EDGES)
-    # m = n - r + 1: the top Taylor Betti number vanishes, depth 2
-    @example(I=_triangle_and_edge())
-    # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: its
-    # H~^2 is row 3, the depth, at x1 and row 5, above m = 4, at x2x3
-    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
-    # two wedged 2-spheres: the empty face gives row 3 before the wedge
-    # point's disconnected link gives row 2
-    @example(I=_coned_spheres_wedge())
-    def test_depth_equals_lowest_row_of_the_table(self, field, I):
-        assert depth_quotient(I, field) == min(i for i, _ in hochster_table(I, field))
-
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
-    @given(proper_ideals(min_n=1, max_n=7, max_gens=6))
-    @settings(max_examples=100, deadline=None)
-    @example(I=projective_plane_ideal())
-    @example(I=_coned_spheres_wedge())
-    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
-    def test_each_link_ranked_only_below_the_best_row(self, field, I):
-        facets, faces = _facet_intersections(I)
-        m = min(map(int.bit_count, facets))
-        depth, calls = _ranked_links(lambda: depth_quotient(I, field))
-        bounds = [args[1] for _, args in calls]
-        if m <= I.context.n - I.r + 1:
-            assert (depth, calls) == (m, [])
-        # only faces with |F| + 1 < m can give a row below m, each at most once
-        assert len(calls) <= sum(1 for face in faces if face.bit_count() + 1 < m)
-        assert all(args[0] == field for _, args in calls)
-        # best - |F| - 2 with the best row falling and |F| rising
-        assert all(b >= 0 for b in bounds)
-        assert bounds == sorted(bounds, reverse=True)
+    """depth_quotient, the lowest row of the Hochster table."""
 
     def test_disconnected_link_needs_no_rank(self, monkeypatch):
-        # two planes: the edges x3x4 and x1x2, so the search asks only for
-        # row 1, and the empty face's link gives it from its two components
+        # two planes: the facets x1x2 and x3x4 have EMPTY links, and the
+        # empty face's link is a graph, row 1 from its two components
         monkeypatch.setattr(linalg, "rank", lambda *a: pytest.fail("no coboundary is ranked"))
         assert depth_quotient(_two_planes(), Q) == 1
-
-    @pytest.mark.parametrize(
-        "I, depths, links",
-        [
-            (TWO_DISJOINT_EDGES, (2, 2, 2), (0, 0, 0)),  # m = n - r
-            (_triangle_and_edge(), (2, 2, 2), (0, 0, 0)),  # m = n - r + 1
-            # n 6, r 10, m 3 > n - r + 1: the empty face and the six
-            # vertices, whose links are connected 5-cycles; over GF(2), H~^1
-            # of RP^2 gives row 2 at the empty face and ends the search
-            (projective_plane_ideal(), (3, 2, 3), (7, 1, 7)),
-        ],
-        ids=["two_disjoint_edges", "triangle_and_edge", "rp2"],
-    )
-    def test_links_walked_only_past_n_minus_r_plus_one(self, I, depths, links, monkeypatch):
-        real, calls = simplicial.reduced_cohomology, []
-        monkeypatch.setattr(
-            simplicial, "reduced_cohomology", lambda lk, *a: calls.append(lk) or real(lk, *a)
-        )
-        for field, depth, count in zip(FIELDS, depths, links):
-            calls.clear()
-            got, tables = hochster_calls(lambda: depth_quotient(I, field))
-            assert (got, tables, len(calls)) == (depth, [], count)
 
     def test_zero_and_unit_ideals_refuse(self):
         ctx = context_of(3)
