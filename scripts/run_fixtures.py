@@ -63,23 +63,23 @@ def main(argv=None) -> int:
             ideal = parse_ideal_document(json.load(fh))
         limits = EngineLimits(max_vars=ideal.context.n)
         table = local_cohomology_table(ideal, field, limits)
-        report = svt_check(table)
+        v = svt_check(table)["verdicts"]
         hlv = hlv_check(table)
         grade = grade_check(table)
         hochster = hochster_table(ideal, field)
         pattern = pattern_table(ideal, field, limits)
         duality = all(duality_holds(ideal, t, hochster) for t in (pattern, table))
-        depth = report.depth == min(i for i, _ in hochster)
+        depth = v["depth"] == min(i for i, _ in hochster)
         print(
-            f"{name:22s} n={ideal.context.n} dim={report.dim_quotient} "
-            f"depth={report.depth} cd={report.cd} q={report.q} "
-            f"connected={report.connected} "
-            f"H^(n-1)=0:{report.vanishing_top_minus_one} "
-            f"agreement={report.agreement} hlv={hlv} grade={grade} "
+            f"{name:22s} n={ideal.context.n} dim={v['dim_quotient']} "
+            f"depth={v['depth']} cd={v['cd']} q={v['q']} "
+            f"connected={v['connected']} "
+            f"H^(n-1)=0:{v['vanishing_top_minus_one']} "
+            f"agreement={v['agreement']} hlv={hlv} grade={grade} "
             f"hochster_depth={depth} duality={duality}"
         )
         if not (hlv and grade and depth and duality) or (
-            report.dim_quotient >= 1 and not report.agreement
+            v["dim_quotient"] >= 1 and not v["agreement"]
         ):
             failed.append(name)
     if failed:

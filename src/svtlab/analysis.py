@@ -6,17 +6,18 @@ are differential-testing sentinels that must return True on every input,
 and the sweep hammers the vanishing equivalence on seeded random ideals.
 svt_check, hlv_check and grade_check read the ideal and field off a table,
 which passed the variable cap when it was made; mayer_vietoris_check and
-the sweep make their own tables under the limits they are given.  Reports
-serialize themselves (ideals through SquareFreeIdeal.to_json); whether a
-table came from the cache is for the CLI to add.
+the sweep make their own tables under the limits they are given.
+svt_check returns the payload itself, a dict the CLI writes as it is
+(ideals through SquareFreeIdeal.to_json); whether a table came from the
+cache is for the CLI to add.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from . import cech, graphs
 from .cech import CohomologyTable, DEFAULT_LIMITS, EngineLimits
@@ -35,59 +36,10 @@ from .ideals import (
 )
 
 
-@dataclass
-class Hypothesis:
-    name: str
-    holds: bool
-    evidence: str
-    model_level: bool = True  # evaluated on the equal-characteristic graded model
-    vacuous: bool = False
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass
-class AnalysisReport:
-    hypotheses: List[Hypothesis]
-    connected: bool
-    vanishing_top_minus_one: bool
-    dim_quotient: int
-    height: int
-    cd: int
-    q: Optional[int]
-    depth: int
-    table: CohomologyTable
-    timings: Dict[str, float] = dc_field(default_factory=dict)
-
-    @property
-    def agreement(self) -> bool:
-        return self.vanishing_top_minus_one == (self.connected and self.dim_quotient >= 2)
-
-    def payload(self) -> dict:
-        """The report as the CLI writes it, with the table itself in place of
-        its entries: cli._dumps renders a table straight from its rows."""
-        return {
-            "ideal": self.table.ideal.to_json(),
-            "field": self.table.field.label(),
-            "hypotheses": [h.to_json() for h in self.hypotheses],
-            "verdicts": {
-                "connected": self.connected,
-                "vanishing_top_minus_one": self.vanishing_top_minus_one,
-                "agreement": self.agreement,
-                "cd": self.cd,
-                "q": self.q,
-                "depth": self.depth,
-                "dim_quotient": self.dim_quotient,
-                "height": self.height,
-            },
-            "table": self.table,
-            "timings": self.timings,
-        }
-
-
-def svt_check(table: CohomologyTable) -> AnalysisReport:
-    """Both sides of the vanishing equivalence plus the hypothesis checks.
+def svt_check(table: CohomologyTable) -> dict:
+    """Both sides of the vanishing equivalence plus the hypothesis checks,
+    as the payload the CLI writes, with the table itself in place of its
+    entries: cli._dumps renders a table straight from its rows.
 
     Hypothesis failures are recorded, never fatal: the verdicts are still
     computed so a disagreement outside the hypotheses is visible.
@@ -100,33 +52,26 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
     primes = minimal_primes(I)
     hypotheses = []
     for p in primes:
-        d, label = n - p.height, p.label()
-        hypotheses.append(
-            Hypothesis(
-                name=f"dim(S/{label}) >= 3",
-                holds=d >= 3,
-                evidence=f"dim(S/q) = {d}",
-            )
-        )
+        d, label = n - p.bit_count(), I.context.prime_label(p)
         # S/q is a polynomial ring in d variables, so H^i_m(S/q) is nonzero
         # only at i = d, in the column of the whole simplex: H^2_m has finite
         # length iff d != 2, and the origin column of row 2 is then empty
         fl = d != 2
-        hypotheses.append(
-            Hypothesis(
-                name=f"finite length of H^2_m(S/{label})",
-                holds=fl,
-                evidence="length 0 at the origin column" if fl else "an off-origin column is nonzero",
-                # evaluated on the graded quotient model S/q itself
-                vacuous=(n - p.height != 2),
-            )
-        )
+        evidence = "length 0 at the origin column" if fl else "an off-origin column is nonzero"
+        # both are evaluated on the equal-characteristic graded model, the
+        # second on the quotient S/q itself, where it is vacuous unless d = 2
+        hypotheses += [
+            {"name": f"dim(S/{label}) >= 3", "holds": d >= 3, "evidence": f"dim(S/q) = {d}",
+             "model_level": True, "vacuous": False},
+            {"name": f"finite length of H^2_m(S/{label})", "holds": fl, "evidence": evidence,
+             "model_level": True, "vacuous": fl},
+        ]
     timings["hypotheses"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     connected = graphs.punctured_spectrum_connected(I)
-    ht = height(I)
-    dim_q = dim_quotient(I)
+    # the largest facet, of dimension dim S/I = n - ht, misses the smallest prime
+    ht = min(p.bit_count() for p in primes)
     timings["combinatorics"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -135,20 +80,25 @@ def svt_check(table: CohomologyTable) -> AnalysisReport:
     q = cech.q_invariant(table)
     timings["cohomology"] = time.monotonic() - t0
 
-    return AnalysisReport(
-        hypotheses=hypotheses,
-        connected=connected,
-        vanishing_top_minus_one=vanish,
-        dim_quotient=dim_q,
-        height=ht,
-        cd=cd,
-        q=q,
-        # cd(I) = pd(S/I) for a square-free monomial ideal (G. Lyubeznik,
-        # LNM 1092, 1984), and depth = n - pd (Auslander-Buchsbaum)
-        depth=n - cd,
-        table=table,
-        timings=timings,
-    )
+    return {
+        "ideal": I.to_json(),
+        "field": table.field.label(),
+        "hypotheses": hypotheses,
+        "verdicts": {
+            "connected": connected,
+            "vanishing_top_minus_one": vanish,
+            "agreement": vanish == (connected and n - ht >= 2),
+            "cd": cd,
+            "q": q,
+            # cd(I) = pd(S/I) for a square-free monomial ideal (G. Lyubeznik,
+            # LNM 1092, 1984), and depth = n - pd (Auslander-Buchsbaum)
+            "depth": n - cd,
+            "dim_quotient": n - ht,
+            "height": ht,
+        },
+        "table": table,
+        "timings": timings,
+    }
 
 
 def hlv_check(table: CohomologyTable) -> bool:
@@ -174,11 +124,18 @@ def mayer_vietoris_check(
     """Exactness bookkeeping for the Mayer-Vietoris sequence of (I, J):
     per pattern, the alternating sum of dims of H^i_{I+J}, H^i_I + H^i_J,
     H^i_{I cap J} must cancel.  I cap J is zero, or I + J the unit ideal,
-    only when I or J is, so the tables of I and J refuse those first."""
+    only when I or J is, so the tables of I and J refuse those first; they
+    refuse a ring over the caps too, before I + J and I cap J are built."""
     total: Dict[int, int] = {}
-    for sign, K in ((-1, I), (-1, J), (1, sum_ideals(I, J)), (1, intersect(I, J))):
+
+    def add(sign: int, K: SquareFreeIdeal):
         for (i, p), d in cech.local_cohomology_table(K, field, limits).dims.items():
             total[p] = total.get(p, 0) + sign * (-1) ** i * d
+
+    add(-1, I)
+    add(-1, J)
+    add(1, sum_ideals(I, J))
+    add(1, intersect(I, J))
     return not any(total.values())
 
 

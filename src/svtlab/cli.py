@@ -148,7 +148,7 @@ def _table(I: SquareFreeIdeal, args):
 
 def cmd_analyze(args) -> int:
     table, state = _table(load_ideal(args.input), args)
-    payload = analysis.svt_check(table).payload()
+    payload = analysis.svt_check(table)
     payload["cache"] = state
     payload["sentinels"] = {
         "hlv": analysis.hlv_check(table),
@@ -176,7 +176,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_svt(args) -> int:
     table, state = _table(load_ideal(args.input), args)
-    payload = analysis.svt_check(table).payload()
+    payload = analysis.svt_check(table)
     payload["cache"] = state
     del payload["table"]
     _emit(payload, args)
@@ -187,15 +187,14 @@ def cmd_graph(args) -> int:
     I = load_ideal(args.input)
     EngineLimits(max_vars=args.max_vars).check(I.context.n)
     G = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
-    dot = graphs.to_dot(G)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot)
+            fh.write(graphs.to_dot(G, I.context))
     _emit(
         {
             "ideal": I.to_json(),
             "kind": G.kind,
-            "vertices": [p.label() for p in G.vertices],
+            "vertices": [I.context.prime_label(p) for p in G.vertices],
             "edges": sorted([list(e) for e in G.edges]),
             "connected": graphs.is_connected(G),
         },

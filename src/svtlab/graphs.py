@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ideals
-from .ideals import SquareFreeIdeal, minimal_primes
+from .ideals import SquareFreeIdeal, VariableContext, minimal_primes
 
 THETA = "theta"
 GAMMA = "gamma"
@@ -20,7 +20,7 @@ GAMMA = "gamma"
 @dataclass(frozen=True)
 class ConnectivityGraph:
     kind: str
-    vertices: tuple  # CoordinatePrime, lexicographic by variable set
+    vertices: tuple  # prime variable masks, lexicographic by variable set
     edges: frozenset  # of (i, j) index pairs, i < j
 
     def __post_init__(self):
@@ -41,7 +41,7 @@ def theta_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
     edges = set()
     for i in range(len(primes)):
         for j in range(i + 1, len(primes)):
-            if primes[i].variables | primes[j].variables != full:
+            if primes[i] | primes[j] != full:
                 edges.add((i, j))
     return ConnectivityGraph(THETA, primes, frozenset(edges))
 
@@ -52,7 +52,7 @@ def _quotient_height(primes: tuple, prime_mask: int) -> int:
     |vars| minus the smallest minimal prime of I inside it: the longest
     chain of coordinate primes of S/I below it (the tests' chain oracle).
     """
-    inside = [p.height for p in primes if p.variables & prime_mask == p.variables]
+    inside = [p.bit_count() for p in primes if p & prime_mask == p]
     if not inside:
         raise ValueError("the prime does not contain a minimal prime of I")
     return prime_mask.bit_count() - min(inside)
@@ -65,13 +65,12 @@ def gamma_graph(I: SquareFreeIdeal) -> ConnectivityGraph:
     primes are those of least height.
     """
     primes = minimal_primes(I)
-    least = min(p.height for p in primes)
-    top = tuple(p for p in primes if p.height == least)
+    least = min(p.bit_count() for p in primes)
+    top = tuple(p for p in primes if p.bit_count() == least)
     edges = set()
     for i in range(len(top)):
         for j in range(i + 1, len(top)):
-            union = top[i].variables | top[j].variables
-            if _quotient_height(primes, union) == 1:
+            if _quotient_height(primes, top[i] | top[j]) == 1:
                 edges.add((i, j))
     return ConnectivityGraph(GAMMA, top, frozenset(edges))
 
@@ -93,10 +92,10 @@ def punctured_spectrum_connected(I: SquareFreeIdeal) -> bool:
     return is_connected(theta_graph(I))
 
 
-def to_dot(G: ConnectivityGraph) -> str:
+def to_dot(G: ConnectivityGraph, context: VariableContext) -> str:
     lines = [f"graph {G.kind} {{"]
     for idx, p in enumerate(G.vertices):
-        lines.append(f'  v{idx} [label="{p.label()}"];')
+        lines.append(f'  v{idx} [label="{context.prime_label(p)}"];')
     for i, j in sorted(G.edges):
         lines.append(f"  v{i} -- v{j};")
     lines.append("}")

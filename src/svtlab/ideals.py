@@ -1,7 +1,8 @@
 """Square-free monomial ideals, exactly.
 
 A square-free monomial is its support, a bitmask over the variable
-positions of a VariableContext (0 is the unit monomial).
+positions of a VariableContext (0 is the unit monomial), and a coordinate
+prime, the ideal of the variables in a nonempty set, is that set's mask.
 All values are immutable; every operation is a pure function, so the
 types are safe to share across threads.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 DEFAULT_MAX_VARS = 16
@@ -112,6 +113,10 @@ class VariableContext:
     def names_of(self, mask: int) -> tuple:
         return tuple([self.names[i] for i in bits(mask)])
 
+    def prime_label(self, mask: int) -> str:
+        """The coordinate prime on `mask` as "P{x1,x2}"."""
+        return "P{" + ",".join(self.names_of(mask)) + "}"
+
 
 def _check_context(a, b):
     if a.context != b.context:
@@ -177,8 +182,7 @@ class SquareFreeIdeal:
 
     @functools.cached_property
     def _minimal_primes(self) -> tuple:
-        found = sorted(_minimal_transversals(self), key=lambda m: tuple(bits(m)))
-        return tuple(CoordinatePrime(self.context, m) for m in found)
+        return tuple(sorted(_minimal_transversals(self), key=bits))
 
     def support_union(self) -> int:
         u = 0
@@ -191,27 +195,6 @@ class SquareFreeIdeal:
 
     def to_json(self) -> dict:
         return {"variables": list(self.context.names), "generators": self.generator_lists()}
-
-
-@dataclass(frozen=True)
-class CoordinatePrime:
-    """The prime generated by the single variables in `variables`."""
-
-    context: VariableContext
-    variables: int  # nonempty bitmask
-
-    def __post_init__(self):
-        if self.variables == 0:
-            raise ValueError("a coordinate prime needs at least one variable")
-        if self.variables > self.context.full_mask:
-            raise ValueError("variables outside the context")
-
-    @property
-    def height(self) -> int:
-        return self.variables.bit_count()
-
-    def label(self) -> str:
-        return "P{" + ",".join(self.context.names_of(self.variables)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +242,10 @@ def _minimal_transversals(I: SquareFreeIdeal) -> list:
 def minimal_primes(I: SquareFreeIdeal) -> tuple:
     """Minimal primes over I, as minimal transversals of the generator supports.
 
-    Returned in lexicographic order of variable index sets.  No generator
-    cap applies: after each generator the transversal search holds an
-    antichain of variable sets, by Sperner's theorem at most C(n, n // 2).
+    Returned as variable masks, in lexicographic order of variable index
+    sets.  No generator cap applies: after each generator the transversal
+    search holds an antichain of variable sets, by Sperner's theorem at most
+    C(n, n // 2).
     """
     require_analyzable(I)
     return I._minimal_primes
@@ -285,7 +269,7 @@ def stanley_reisner_facets(I: SquareFreeIdeal) -> tuple:
     """
     require_analyzable(I)
     full = I.context.full_mask
-    return tuple(sorted(full & ~p.variables for p in I._minimal_primes))
+    return tuple(sorted(full & ~p for p in I._minimal_primes))
 
 
 def dim_quotient(I: SquareFreeIdeal) -> int:
@@ -295,4 +279,4 @@ def dim_quotient(I: SquareFreeIdeal) -> int:
 
 def height(I: SquareFreeIdeal) -> int:
     """min over minimal primes of the number of variables."""
-    return min(p.height for p in minimal_primes(I))
+    return min(p.bit_count() for p in minimal_primes(I))

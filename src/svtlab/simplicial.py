@@ -143,30 +143,27 @@ def relative_cohomology(outside, inside, field: FieldSpec, max_degree=None) -> D
     return {d: h for d, h in dims.items() if h}
 
 
-def reduced_cohomology(facets: tuple, field: FieldSpec, max_degree=None) -> Dict[int, int]:
-    """dims of H~^d(K; k) for -1 <= d <= max_degree, nonzero entries only,
-    for the complex K with these sorted, irredundant facets.
+def reduced_cohomology(facets: tuple, field: FieldSpec) -> Dict[int, int]:
+    """dims of H~^d(K; k), nonzero entries only, for the complex K with
+    these sorted, irredundant facets.
 
-    Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.  Up to
-    degree 0, and in every degree for a graph (no facet of more than 2
-    vertices), the dims come from the components without a rank (the
-    second fact above).  Otherwise they are those of H^d(K, st v) (the
-    star lemma), with v a vertex in the most facets and the lowest of
-    those on ties.
+    Conventions: all dims of VOID are 0, and H~^{-1}(EMPTY) = 1.  For a
+    graph (no facet of more than 2 vertices), the dims come from the
+    components without a rank (the second fact above).  Otherwise they are
+    those of H^d(K, st v) (the star lemma), with v a vertex in the most
+    facets and the lowest of those on ties.
     """
     if facets == (0,):
         return {-1: 1}
     if not facets:
         return {}
-    if max_degree == 0 or max(map(int.bit_count, facets)) <= 2:
+    if max(map(int.bit_count, facets)) <= 2:
+        # each facet is a vertex or an edge, so the facet sizes sum to
+        # t + E for t facets and E edges
         c = components(facets)
-        dims = {0: c - 1}
-        if max_degree != 0:
-            # K is a graph: each facet is a vertex or an edge, so the
-            # facet sizes sum to t + E for t facets and E edges
-            edges = sum(map(int.bit_count, facets)) - len(facets)
-            dims[1] = edges - reduce(or_, facets).bit_count() + c
-        return {d: h for d, h in dims.items() if h and (max_degree is None or d <= max_degree)}
+        edges = sum(map(int.bit_count, facets)) - len(facets)
+        dims = {0: c - 1, 1: edges - reduce(or_, facets).bit_count() + c}
+        return {d: h for d, h in dims.items() if h}
     # planes[k] is bit k of every vertex's facet count, the facets added
     # one at a time with carries; from the top plane down, the vertices
     # whose bit is set (when any candidate's is) stay candidates
@@ -188,7 +185,7 @@ def reduced_cohomology(facets: tuple, field: FieldSpec, max_degree=None) -> Dict
     v &= -v
     # st v has the facets holding v; the facets missing v lie outside it
     return relative_cohomology(
-        [f for f in facets if not f & v], [f for f in facets if f & v], field, max_degree
+        [f for f in facets if not f & v], [f for f in facets if f & v], field
     )
 
 

@@ -18,7 +18,7 @@ from svtlab.cech import (
     is_multiplication_surjective,
 )
 from svtlab.fields import FieldSpec
-from svtlab.ideals import CoordinatePrime, SquareFreeIdeal, bits
+from svtlab.ideals import SquareFreeIdeal, VariableContext, bits
 from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
 
 
@@ -117,9 +117,9 @@ def _subsets(n: int, k: int):
     return sorted(out)
 
 
-def prime_ideal(p: CoordinatePrime) -> SquareFreeIdeal:
-    """The coordinate prime p as an ideal, one variable per generator."""
-    return SquareFreeIdeal(p.context, tuple(1 << i for i in bits(p.variables)))
+def prime_ideal(context: VariableContext, mask: int) -> SquareFreeIdeal:
+    """The coordinate prime on `mask` as an ideal, one variable per generator."""
+    return SquareFreeIdeal(context, tuple(1 << i for i in bits(mask)))
 
 
 def is_artinian(table: CohomologyTable, i: int) -> bool:

@@ -77,11 +77,12 @@ def test_criterion_01_two_block_fixture_full_story():
         len(G.vertices) == 2,
         len(G.edges) == 1,
         is_connected(G),
-        [p.label() for p in primes] == ["P{x1,x2,x3}", "P{y1,y2,y3}"],
-        all(I.context.n - p.height == 5 for p in primes),
-        all(finite_length(prime_ideal(p), 2, Q) for p in primes),
+        [I.context.prime_label(p) for p in primes] == ["P{x1,x2,x3}", "P{y1,y2,y3}"],
+        all(I.context.n - p.bit_count() == 5 for p in primes),
+        all(finite_length(prime_ideal(I.context, p), 2, Q) for p in primes),
         all(
-            sum(d for (i, _), d in hochster_table(prime_ideal(p), Q).items() if i == 2) == 0
+            sum(d for (i, _), d in hochster_table(prime_ideal(I.context, p), Q).items() if i == 2)
+            == 0
             for p in primes
         ),
         table.is_row_zero(7),
@@ -111,7 +112,7 @@ def test_criterion_03_three_plane_fixture():
     primes = minimal_primes(I)
     table = local_cohomology_table(I, Q)
     checks = [
-        [p.label() for p in primes]
+        [I.context.prime_label(p) for p in primes]
         == ["P{x1,x2}", "P{x3,x4}", "P{x5,x6}"],
         is_connected(theta_graph(I)),
         table.is_row_zero(5),
@@ -229,7 +230,7 @@ def test_criterion_09_dual_algorithm_consistency():
         if I.is_zero or I.is_unit:
             continue  # both sides undefined for degenerate draws
         full = ctx.full_mask
-        via_transversals = sorted(p.variables for p in minimal_primes(I))
+        via_transversals = sorted(minimal_primes(I))
         via_facets = sorted(full & ~F for F in brute_force_facets(I))
         if via_transversals != via_facets:
             mismatches += 1

@@ -15,7 +15,6 @@ from svtlab.cli import _dumps, parse_ideal_document
 from svtlab.fields import FieldSpec
 from svtlab.ideals import (
     CapExceededError,
-    CoordinatePrime,
     SquareFreeIdeal,
     VariableContext,
     dim_quotient,
@@ -56,35 +55,36 @@ class TestSvtCheck:
         ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
         I = primes(ctx, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
         report = svt_check(local_cohomology_table(I, Q))
-        assert report.connected
-        assert report.vanishing_top_minus_one
-        assert report.agreement
-        assert report.dim_quotient == 5 and report.height == 3
-        assert report.cd == 5 and report.depth == 3 and report.q == 5
+        v = report["verdicts"]
+        assert v["connected"]
+        assert v["vanishing_top_minus_one"]
+        assert v["agreement"]
+        assert v["dim_quotient"] == 5 and v["height"] == 3
+        assert v["cd"] == 5 and v["depth"] == 3 and v["q"] == 5
         # both minimal primes have 5-dimensional quotients: hypotheses hold
-        assert all(h.holds for h in report.hypotheses if h.name.startswith("dim"))
+        assert all(h["holds"] for h in report["hypotheses"] if h["name"].startswith("dim"))
 
     def test_disconnected_blocks(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2", "x3"], ["x4", "x5", "x6"])
-        report = svt_check(local_cohomology_table(I, Q))
-        assert not report.connected
-        assert not report.vanishing_top_minus_one
-        assert report.agreement
+        v = svt_check(local_cohomology_table(I, Q))["verdicts"]
+        assert not v["connected"]
+        assert not v["vanishing_top_minus_one"]
+        assert v["agreement"]
 
     def test_three_planes(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"], ["x5", "x6"])
-        report = svt_check(local_cohomology_table(I, Q))
-        assert report.connected and report.vanishing_top_minus_one
-        assert report.agreement
-        assert report.depth == 2
+        v = svt_check(local_cohomology_table(I, Q))["verdicts"]
+        assert v["connected"] and v["vanishing_top_minus_one"]
+        assert v["agreement"]
+        assert v["depth"] == 2
 
     def test_report_json_round_trips(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
         report = svt_check(local_cohomology_table(I, Q))
-        again = json.loads(_dumps(report.payload()))
+        again = json.loads(_dumps(report))
         assert again["verdicts"]["agreement"] is True
         assert again["verdicts"]["connected"] is False
         assert again["field"] == "rationals"
@@ -92,14 +92,15 @@ class TestSvtCheck:
 
     def test_payload_holds_the_table_itself(self):
         table = local_cohomology_table(primes(context_of(4), ["x1", "x2"], ["x3", "x4"]), Q)
-        report = svt_check(table)
-        assert report.payload()["table"] is table
+        assert svt_check(table)["table"] is table
 
     def test_each_prime_labelled_once(self, monkeypatch):
         table = local_cohomology_table(primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]), Q)
-        real, labelled = CoordinatePrime.label, []
-        monkeypatch.setattr(CoordinatePrime, "label", lambda p: labelled.append(p) or real(p))
-        names = [h.name for h in svt_check(table).hypotheses]
+        real, labelled = VariableContext.prime_label, []
+        monkeypatch.setattr(
+            VariableContext, "prime_label", lambda c, p: labelled.append(p) or real(c, p)
+        )
+        names = [h["name"] for h in svt_check(table)["hypotheses"]]
         assert len(labelled) == 2
         assert names == [
             "dim(S/P{x1,x2}) >= 3", "finite length of H^2_m(S/P{x1,x2})",
@@ -110,13 +111,13 @@ class TestSvtCheck:
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"])  # dim(S/q) = 2: finite-length check is live
         report = svt_check(local_cohomology_table(I, Q))
-        fl = [h for h in report.hypotheses if "finite" in h.name.lower()]
-        assert fl and not fl[0].vacuous
+        fl = [h for h in report["hypotheses"] if "finite" in h["name"].lower()]
+        assert fl and not fl[0]["vacuous"]
 
         J = primes(ctx, ["x1"])  # dim(S/q) = 3: the check is vacuous
         report = svt_check(local_cohomology_table(J, Q))
-        fl = [h for h in report.hypotheses if "finite" in h.name.lower()]
-        assert fl and fl[0].vacuous
+        fl = [h for h in report["hypotheses"] if "finite" in h["name"].lower()]
+        assert fl and fl[0]["vacuous"]
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
     @pytest.mark.parametrize(
@@ -138,7 +139,7 @@ class TestSvtCheck:
             monkeypatch.setattr(
                 simplicial, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
             )
-        assert svt_check(table).depth == depths[FIELDS.index(field)]
+        assert svt_check(table)["verdicts"]["depth"] == depths[FIELDS.index(field)]
         assert calls == []
 
     @given(proper_ideals())
@@ -146,7 +147,7 @@ class TestSvtCheck:
     def test_agreement_is_always_true(self, I):
         if dim_quotient(I) < 1:
             return
-        assert svt_check(local_cohomology_table(I, Q)).agreement
+        assert svt_check(local_cohomology_table(I, Q))["verdicts"]["agreement"]
 
 
 class TestSentinels:
@@ -193,6 +194,17 @@ class TestMayerVietoris:
         monkeypatch.setattr(cech, "local_cohomology_table", lossy)
         assert not mayer_vietoris_check(q1, q2, Q)
         assert len(calls) == 4
+
+    def test_tables_refuse_the_cap_before_the_sum_and_intersection(self, monkeypatch):
+        # the table of I refuses a ring over the variable cap, so neither
+        # I + J nor I cap J (r_I * r_J unions) is built
+        I = primes(context_of(9), ["x1", "x2"], ["x3", "x4"])
+        built = []
+        for name in ("intersect", "sum_ideals"):
+            monkeypatch.setattr(analysis, name, lambda *a, name=name: built.append(name))
+        with pytest.raises(CapExceededError):
+            mayer_vietoris_check(I, I, Q)
+        assert built == []
 
     def test_rejects_unit_input(self):
         ctx = context_of(2)
@@ -374,17 +386,17 @@ FIXTURES = [
 def assert_finite_length_hypotheses_match_hochster(I, field, limits=EngineLimits()):
     """The closed form svt_check uses for S/q against q's own Hochster table."""
     report = svt_check(local_cohomology_table(I, field, limits))
-    by_name = {h.name: h for h in report.hypotheses}
+    by_name = {h["name"]: h for h in report["hypotheses"]}
     for p in minimal_primes(I):
-        q = prime_ideal(p)
+        q = prime_ideal(I.context, p)
         fl = finite_length(q, 2, field)
         entry = hochster_table_all_faces(q, field).get((2, 0), 0)
-        h = by_name[f"finite length of H^2_m(S/{p.label()})"]
-        assert h.holds == fl
-        assert h.evidence == (
+        h = by_name[f"finite length of H^2_m(S/{I.context.prime_label(p)})"]
+        assert h["holds"] == fl
+        assert h["evidence"] == (
             f"length {entry} at the origin column" if fl else "an off-origin column is nonzero"
         )
-        assert h.vacuous == (I.context.n - p.height != 2)
+        assert h["vacuous"] == (I.context.n - p.bit_count() != 2)
 
 
 class TestPrimeHypothesisClosedForm:

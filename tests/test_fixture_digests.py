@@ -1,10 +1,11 @@
-"""Every fixture's `analyze` payload, pinned by digest.
+"""Every fixture's `analyze` payload and comparison graphs, pinned by digest.
 
 tests/data/fixture_digests.json holds the sha256 of each
 `analyze --no-cache --max-vars 9` payload, less its `timings`, for all
-fixtures over Q, GF(2) and GF(3).  A change to the engine that keeps
-tables, verdicts, depth and hypotheses keeps every digest.  To write the
-file from the code as it stands:
+fixtures over Q, GF(2) and GF(3), and of each `graph --max-vars 9` JSON
+followed by its `--dot` text, for both kinds.  A change to the engine that
+keeps tables, verdicts, depth, hypotheses and graphs keeps every digest.
+To write the file from the code as it stands:
 
     PYTHONPATH=src python tests/test_fixture_digests.py > tests/data/fixture_digests.json
 """
@@ -12,6 +13,7 @@ file from the code as it stands:
 import hashlib
 import json
 import os
+import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -23,6 +25,7 @@ from svtlab.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "fixture_digests.json")
 FIELDS = ("rationals", "2", "3")
+KINDS = ("theta", "gamma")
 
 
 def payload_digest(name: str, field: str) -> str:
@@ -36,12 +39,28 @@ def payload_digest(name: str, field: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def graph_digest(name: str, kind: str) -> str:
+    out = StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        dot = os.path.join(tmp, "graph.dot")
+        argv = ["graph", "--kind", kind, "--input", fixture_path(name), "--max-vars", "9"]
+        with redirect_stdout(out):
+            assert main(argv + ["--dot", dot]) == 0
+        with open(dot) as fh:
+            text = out.getvalue() + fh.read()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def fixture_names() -> list:
     return sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
 
 
 def all_digests() -> dict:
-    return {f"{name} {field}": payload_digest(name, field) for name in fixture_names() for field in FIELDS}
+    digests = {f"{name} {field}": payload_digest(name, field) for name in fixture_names() for field in FIELDS}
+    for name in fixture_names():
+        for kind in KINDS:
+            digests[f"{name} graph {kind}"] = graph_digest(name, kind)
+    return digests
 
 
 def _pinned() -> dict:
@@ -50,13 +69,21 @@ def _pinned() -> dict:
 
 
 def test_every_fixture_and_field_is_pinned():
-    assert sorted(_pinned()) == sorted(f"{n} {f}" for n in fixture_names() for f in FIELDS)
+    payloads = [f"{n} {f}" for n in fixture_names() for f in FIELDS]
+    graphs = [f"{n} graph {k}" for n in fixture_names() for k in KINDS]
+    assert sorted(_pinned()) == sorted(payloads + graphs)
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", fixture_names())
 def test_payload_matches_its_digest(name, field):
     assert payload_digest(name, field) == _pinned()[f"{name} {field}"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", fixture_names())
+def test_graph_matches_its_digest(name, kind):
+    assert graph_digest(name, kind) == _pinned()[f"{name} graph {kind}"]
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from oracles import bfs_components, brute_force_quotient_height, prime_ideal
 
 from svtlab import graphs
 from svtlab.ideals import (
-    CoordinatePrime,
     SquareFreeIdeal,
     VariableContext,
     dim_quotient,
@@ -50,7 +49,7 @@ def sparse_graphs(draw):
     ends = st.integers(0, t - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * t))
     edges = frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
-    vertices = tuple(CoordinatePrime(context_of(t), 1 << v) for v in range(t))
+    vertices = tuple(1 << v for v in range(t))
     return ConnectivityGraph(THETA, vertices, edges)
 
 
@@ -105,7 +104,9 @@ class TestTheta:
             (i, j)
             for i in range(len(ps))
             for j in range(i + 1, len(ps))
-            if not is_m_primary(sum_ideals(prime_ideal(ps[i]), prime_ideal(ps[j])))
+            if not is_m_primary(
+                sum_ideals(prime_ideal(I.context, ps[i]), prime_ideal(I.context, ps[j]))
+            )
         }
         assert theta_graph(I).edges == frozenset(expected)
 
@@ -138,7 +139,7 @@ class TestGamma:
         # mixed: a line and a plane
         I = primes(ctx, ["x1", "x2", "x3"], ["x3", "x4"])
         G = gamma_graph(I)
-        assert [p.label() for p in G.vertices] == ["P{x3,x4}"]
+        assert [ctx.prime_label(p) for p in G.vertices] == ["P{x3,x4}"]
 
     def test_subgraph_of_theta_when_unmixed(self):
         ctx = context_of(6)
@@ -160,7 +161,7 @@ class TestGamma:
     @settings(max_examples=60, deadline=None)
     def test_gamma_edges_within_theta_for_unmixed_dim_ge_2(self, I):
         ps = minimal_primes(I)
-        if len({p.height for p in ps}) != 1 or dim_quotient(I) < 2:
+        if len({p.bit_count() for p in ps}) != 1 or dim_quotient(I) < 2:
             return
         assert gamma_graph(I).edges <= theta_graph(I).edges
 
@@ -169,12 +170,12 @@ class TestGamma:
     @example(I=TWO_PLANES_AND_A_LINE)
     def test_matches_the_definition(self, I):
         dim = dim_quotient(I)
-        top = tuple(p for p in minimal_primes(I) if I.context.n - p.height == dim)
+        top = tuple(p for p in minimal_primes(I) if I.context.n - p.bit_count() == dim)
         expected = {
             (i, j)
             for i in range(len(top))
             for j in range(i + 1, len(top))
-            if brute_force_quotient_height(I, top[i].variables | top[j].variables) == 1
+            if brute_force_quotient_height(I, top[i] | top[j]) == 1
         }
         G = gamma_graph(I)
         assert G.vertices == top and G.edges == frozenset(expected)
@@ -196,14 +197,14 @@ class TestGamma:
         assert len(calls) <= 1
         assert len(G.vertices) == 64 and len(G.edges) == 192
         for i, j in G.edges:
-            assert (G.vertices[i].variables ^ G.vertices[j].variables).bit_count() == 2
+            assert (G.vertices[i] ^ G.vertices[j]).bit_count() == 2
 
 
 class TestConnectivityHelpers:
     def test_to_dot(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x2", "x3"])
-        dot = to_dot(theta_graph(I))
+        dot = to_dot(theta_graph(I), ctx)
         assert dot.startswith("graph")
         assert 'P{x1,x2}' in dot and "v0 -- v1" in dot
 

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import context_of, proper_ideals
-from oracles import brute_force_facets, brute_force_intersection_supports
+from oracles import bfs_components, brute_force_facets, brute_force_intersection_supports
 
 from svtlab.ideals import (
     CapExceededError,
@@ -10,6 +11,7 @@ from svtlab.ideals import (
     IdealDomainError,
     SquareFreeIdeal,
     VariableContext,
+    components,
     dim_quotient,
     height,
     intersect,
@@ -36,6 +38,21 @@ class TestContext:
     def test_rejects_too_many_variables(self):
         with pytest.raises(CapExceededError):
             VariableContext(tuple(f"x{i}" for i in range(17)))
+
+
+class TestComponents:
+    @given(st.lists(st.integers(1, (1 << 8) - 1), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    # two points and a triangle: three components
+    @example(masks=[0b00001, 0b00010, 0b11100])
+    # a path v0v1 - v1v2v5 - v2v3 - v3v4 whose masks, in this order, join
+    # v3v4 to the rest only after v1v2v5 has joined v2v3: one component
+    @example(masks=[0b000011, 0b001100, 0b011000, 0b100110])
+    def test_matches_breadth_first_search(self, masks):
+        # the overlap graph: one vertex per mask, an edge where two share a bit
+        t = len(masks)
+        edges = [(i, j) for i in range(t) for j in range(i + 1, t) if masks[i] & masks[j]]
+        assert components(masks) == bfs_components(t, edges)
 
 
 class TestIntersect:
@@ -98,18 +115,18 @@ class TestMinimalPrimes:
     def test_example_47(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"], ["x5", "x6"])
-        labels = [p.label() for p in minimal_primes(I)]
+        labels = [ctx.prime_label(p) for p in minimal_primes(I)]
         assert labels == ["P{x1,x2}", "P{x3,x4}", "P{x5,x6}"]
 
     def test_principal(self):
         ctx = context_of(2)
         I = SquareFreeIdeal.from_supports(ctx, [0b11])
-        assert [p.label() for p in minimal_primes(I)] == ["P{x1}", "P{x2}"]
+        assert [ctx.prime_label(p) for p in minimal_primes(I)] == ["P{x1}", "P{x2}"]
 
     def test_example_43(self):
         ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
         I = primes(ctx, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
-        assert [p.label() for p in minimal_primes(I)] == [
+        assert [ctx.prime_label(p) for p in minimal_primes(I)] == [
             "P{x1,x2,x3}", "P{y1,y2,y3}",
         ]
 
@@ -128,7 +145,7 @@ class TestMinimalPrimes:
         if I.is_zero or I.is_unit:
             return
         full = I.context.full_mask
-        via_transversals = sorted(p.variables for p in minimal_primes(I))
+        via_transversals = sorted(minimal_primes(I))
         via_facets = sorted(full & ~F for F in brute_force_facets(I))
         assert via_transversals == via_facets
         assert stanley_reisner_facets(I) == tuple(brute_force_facets(I))
@@ -140,7 +157,7 @@ class TestMinimalPrimes:
     @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011, 0b101]))
     def test_duality_at_the_engine_sizes(self, I):
         full = I.context.full_mask
-        via_transversals = sorted(p.variables for p in minimal_primes(I))
+        via_transversals = sorted(minimal_primes(I))
         assert via_transversals == sorted(full & ~F for F in brute_force_facets(I))
 
 
@@ -210,7 +227,7 @@ class TestDimensions:
     def test_height_dim_complement_when_unmixed(self, I):
         if I.is_zero or I.is_unit:
             return
-        heights = {p.height for p in minimal_primes(I)}
+        heights = {p.bit_count() for p in minimal_primes(I)}
         if len(heights) == 1:
             assert height(I) + dim_quotient(I) == I.context.n
 

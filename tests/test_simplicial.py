@@ -391,24 +391,6 @@ class TestStarLemma:
             delta, field
         )
 
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
-    @given(complexes(), st.integers(-1, 6))
-    @settings(max_examples=150, deadline=None)
-    # two points and a triangle: H~^0 from three components
-    @example(delta=SimplicialComplex(5, (0b00001, 0b00010, 0b11100)), max_degree=0)
-    # a path v0v1 - v1v2v5 - v2v3 - v3v4 whose facets, in mask order, join
-    # v3v4 to the rest only after v1v2v5 has joined v2v3: one component
-    @example(delta=SimplicialComplex(6, (0b000011, 0b001100, 0b011000, 0b100110)), max_degree=0)
-    @example(delta=SimplicialComplex(3, (0,)), max_degree=0)
-    @example(delta=_RP2, max_degree=1)
-    def test_degree_bound_keeps_the_lower_degrees(self, field, delta, max_degree):
-        full = reduced_cohomology_by_elimination(delta, field)
-        with pytest.MonkeyPatch.context() as m:
-            if max_degree <= 0:
-                m.setattr(linalg, "rank", lambda *a: pytest.fail("degree 0 needs no rank"))
-            bounded = reduced_cohomology(delta.facets, field, max_degree)
-        assert bounded == {d: h for d, h in full.items() if d <= max_degree}
-
     @given(complexes(max_n=8))
     @settings(max_examples=150, deadline=None)
     @example(delta=_RP2)  # each vertex in five triangles: x1
@@ -436,28 +418,24 @@ class TestStarLemma:
             assert reduced_cohomology(_simplex_boundary(n).facets, Q) == {n - 2: 1}
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
-    @given(graphs(), st.one_of(st.none(), st.integers(-1, 2)))
+    @given(graphs())
     @settings(max_examples=150, deadline=None)
     # the hollow triangle: E - V + c = 3 - 3 + 1
-    @example(delta=SimplicialComplex(3, (0b011, 0b101, 0b110)), max_degree=None)
+    @example(delta=SimplicialComplex(3, (0b011, 0b101, 0b110)))
     # two disjoint hollow triangles
     @example(
-        delta=SimplicialComplex(6, (0b000011, 0b000101, 0b000110, 0b011000, 0b101000, 0b110000)),
-        max_degree=None,
+        delta=SimplicialComplex(6, (0b000011, 0b000101, 0b000110, 0b011000, 0b101000, 0b110000))
     )
     # the tree x1x2, x2x3, x2x4 and the isolated vertices x5, x6, which are
     # facets but not edges
-    @example(delta=SimplicialComplex(6, (0b000011, 0b000110, 0b001010, 0b010000, 0b100000)),
-             max_degree=None)
+    @example(delta=SimplicialComplex(6, (0b000011, 0b000110, 0b001010, 0b010000, 0b100000)))
     # one edge: contractible
-    @example(delta=SimplicialComplex(2, (0b11,)), max_degree=None)
-    @example(delta=SimplicialComplex(3, (0b011, 0b101, 0b110)), max_degree=0)
-    def test_graph_needs_no_rank(self, field, delta, max_degree):
+    @example(delta=SimplicialComplex(2, (0b11,)))
+    def test_graph_needs_no_rank(self, field, delta):
         full = reduced_cohomology_by_elimination(delta, field)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(linalg, "rank", lambda *a: pytest.fail("a graph needs no rank"))
-            got = reduced_cohomology(delta.facets, field, max_degree)
-        assert got == {d: h for d, h in full.items() if max_degree is None or d <= max_degree}
+            assert reduced_cohomology(delta.facets, field) == full
 
 
 @st.composite
