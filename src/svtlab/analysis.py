@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from . import cech, graphs
 from .cech import CohomologyTable, DEFAULT_LIMITS, EngineLimits
@@ -160,21 +159,6 @@ def random_square_free_ideal(
     return SquareFreeIdeal.from_supports(context, masks)
 
 
-@dataclass
-class SweepSummary:
-    n: int
-    trials: int
-    seed: int
-    generator_bound: int
-    field: str
-    agreements: int = 0
-    failures: int = 0
-    first_counterexample: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
-
 def random_svt_sweep(
     n: int,
     generator_bound: int,
@@ -182,8 +166,10 @@ def random_svt_sweep(
     seed: int,
     field: FieldSpec = FieldSpec(0),
     limits: EngineLimits = DEFAULT_LIMITS,
-) -> SweepSummary:
-    """Seeded random instances of the vanishing equivalence.
+) -> dict:
+    """Seeded random instances of the vanishing equivalence, as the payload
+    the CLI writes: the arguments, the counts of agreements and failures,
+    and the first counterexample or None.
 
     Asserting side: H^{n-1}_I(S) = 0 iff (dim(S/I) >= 2 and the punctured
     spectrum is connected); each side computed by an independent module.
@@ -207,27 +193,23 @@ def random_svt_sweep(
         )
     context = VariableContext(tuple(f"x{i + 1}" for i in range(n)))
     rng = random.Random(seed)
-    summary = SweepSummary(
-        n=n,
-        trials=trials,
-        seed=seed,
-        generator_bound=generator_bound,
-        field=field.label(),
-    )
+    agreements, first = 0, None
     for _ in range(trials):
         I = random_square_free_ideal(context, rng, generator_bound)
         vanish = cech.is_vanishing(I, n - 1, field, limits)
         dim = dim_quotient(I)
         connected = graphs.punctured_spectrum_connected(I)
         if vanish == (dim >= 2 and connected):
-            summary.agreements += 1
-        else:
-            summary.failures += 1
-            if summary.first_counterexample is None:
-                summary.first_counterexample = {
-                    **I.to_json(),
-                    "vanishing": vanish,
-                    "dim_quotient": dim,
-                    "connected": connected,
-                }
-    return summary
+            agreements += 1
+        elif first is None:
+            first = {**I.to_json(), "vanishing": vanish, "dim_quotient": dim, "connected": connected}
+    return {
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "generator_bound": generator_bound,
+        "field": field.label(),
+        "agreements": agreements,
+        "failures": trials - agreements,
+        "first_counterexample": first,
+    }

@@ -186,17 +186,17 @@ def cmd_svt(args) -> int:
 def cmd_graph(args) -> int:
     I = load_ideal(args.input)
     EngineLimits(max_vars=args.max_vars).check(I.context.n)
-    G = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
+    vertices, edges = graphs.theta_graph(I) if args.kind == "theta" else graphs.gamma_graph(I)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(graphs.to_dot(G, I.context))
+            fh.write(graphs.to_dot(args.kind, vertices, edges, I.context))
     _emit(
         {
             "ideal": I.to_json(),
-            "kind": G.kind,
-            "vertices": [I.context.prime_label(p) for p in G.vertices],
-            "edges": sorted([list(e) for e in G.edges]),
-            "connected": graphs.is_connected(G),
+            "kind": args.kind,
+            "vertices": [I.context.prime_label(p) for p in vertices],
+            "edges": [list(e) for e in edges],
+            "connected": graphs.is_connected(vertices, edges),
         },
         args,
     )
@@ -250,15 +250,14 @@ def cmd_mv(args) -> int:
 
 def cmd_sweep(args) -> int:
     field, limits = FieldSpec.parse(args.field), EngineLimits(max_vars=args.max_vars)
-    summary = analysis.random_svt_sweep(
+    payload = analysis.random_svt_sweep(
         args.vars, args.generator_bound, args.trials, args.seed, field, limits
     )
-    payload = summary.to_json()
     if args.log:
         with open(args.log, "a") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
     _emit(payload, args)
-    return EXIT_OK if summary.failures == 0 else EXIT_SENTINEL
+    return EXIT_OK if payload["failures"] == 0 else EXIT_SENTINEL
 
 
 def cmd_cache(args) -> int:

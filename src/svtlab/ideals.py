@@ -3,6 +3,11 @@
 A square-free monomial is its support, a bitmask over the variable
 positions of a VariableContext (0 is the unit monomial), and a coordinate
 prime, the ideal of the variables in a nonempty set, is that set's mask.
+One transversal search serves Alexander duality both ways: the minimal
+primes of an ideal are the minimal transversals of its generators, and,
+as a monomial lies in a coordinate prime iff its support meets the
+prime's variables, the generators of an intersection of primes are the
+minimal transversals of the primes.
 All values are immutable; every operation is a pure function, so the
 types are safe to share across threads.
 """
@@ -160,13 +165,10 @@ class SquareFreeIdeal:
 
     @classmethod
     def intersection_of_primes(cls, context: VariableContext, prime_lists: Iterable) -> "SquareFreeIdeal":
-        result = None
-        for vars_ in prime_lists:
-            p = cls(context, tuple(1 << i for i in bits(context.mask_of(vars_))))
-            result = p if result is None else intersect(result, p)
-        if result is None:
+        primes = [context.mask_of(vars_) for vars_ in prime_lists]
+        if not primes:
             raise ValueError("empty intersection of primes")
-        return result
+        return cls(context, tuple(_minimal_transversals(primes)))
 
     @property
     def is_zero(self) -> bool:
@@ -182,7 +184,7 @@ class SquareFreeIdeal:
 
     @functools.cached_property
     def _minimal_primes(self) -> tuple:
-        return tuple(sorted(_minimal_transversals(self), key=bits))
+        return tuple(sorted(_minimal_transversals(self.generators), key=bits))
 
     def support_union(self) -> int:
         u = 0
@@ -219,8 +221,8 @@ def require_analyzable(I: SquareFreeIdeal):
         raise IdealDomainError("the unit ideal is not accepted here")
 
 
-def _minimal_transversals(I: SquareFreeIdeal) -> list:
-    """Minimal variable sets meeting every generator support, as bitmasks.
+def _minimal_transversals(supports) -> list:
+    """Minimal variable sets meeting every mask of `supports`, as bitmasks.
 
     Berge's algorithm (C. Berge, "Hypergraphs", 1989) adds the supports one
     at a time to the minimal transversals of those before.  Two facts make
@@ -232,7 +234,7 @@ def _minimal_transversals(I: SquareFreeIdeal) -> list:
     minimal transversals.
     """
     found = [0]
-    for g in sorted(I.generators, key=int.bit_count):
+    for g in sorted(supports, key=int.bit_count):
         kept = [t for t in found if t & g]
         grown = [t | 1 << v for t in found if not t & g for v in bits(g)]
         found = kept + [c for c in grown if not any(k & c == k for k in kept)]

@@ -18,7 +18,7 @@ from svtlab.cech import (
     is_multiplication_surjective,
 )
 from svtlab.fields import FieldSpec
-from svtlab.ideals import SquareFreeIdeal, VariableContext, bits
+from svtlab.ideals import SquareFreeIdeal, VariableContext, bits, intersect
 from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
 
 
@@ -120,6 +120,18 @@ def _subsets(n: int, k: int):
 def prime_ideal(context: VariableContext, mask: int) -> SquareFreeIdeal:
     """The coordinate prime on `mask` as an ideal, one variable per generator."""
     return SquareFreeIdeal(context, tuple(1 << i for i in bits(mask)))
+
+
+def intersection_fold(context: VariableContext, prime_lists) -> SquareFreeIdeal:
+    """The intersection of the coordinate primes on `prime_lists`, by
+    pairwise intersection, one prime at a time."""
+    result = None
+    for vars_ in prime_lists:
+        p = prime_ideal(context, context.mask_of(vars_))
+        result = p if result is None else intersect(result, p)
+    if result is None:
+        raise ValueError("empty intersection of primes")
+    return result
 
 
 def is_artinian(table: CohomologyTable, i: int) -> bool:

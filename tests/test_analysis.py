@@ -305,13 +305,13 @@ class TestRandomGeneration:
 class TestSweep:
     def test_small_sweep_all_agree(self):
         summary = random_svt_sweep(n=4, generator_bound=3, trials=25, seed=11, field=Q)
-        assert summary.agreements == 25
-        assert summary.failures == 0
-        assert summary.first_counterexample is None
+        assert summary["agreements"] == 25
+        assert summary["failures"] == 0
+        assert summary["first_counterexample"] is None
 
     def test_sweep_reproducible(self):
-        a = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5).to_json()
-        b = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5).to_json()
+        a = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5)
+        b = random_svt_sweep(n=4, generator_bound=3, trials=10, seed=5)
         assert a == b
 
     @pytest.mark.parametrize(
@@ -335,7 +335,7 @@ class TestSweep:
             random_svt_sweep(n=9, generator_bound=3, trials=trials, seed=1)
         raised = EngineLimits(max_vars=9)
         summary = random_svt_sweep(n=9, generator_bound=3, trials=trials, seed=1, limits=raised)
-        assert summary.agreements == trials
+        assert summary["agreements"] == trials
 
     @pytest.mark.parametrize(
         "n, cap", [(10**5, "context cap 16"), (10, "engine cap 8")], ids=["context", "engine"]
@@ -355,25 +355,28 @@ class TestSweep:
 
     def test_bound_of_every_support_is_accepted(self):
         summary = random_svt_sweep(n=3, generator_bound=8, trials=6, seed=4)
-        assert (summary.generator_bound, summary.agreements) == (8, 6)
+        assert (summary["generator_bound"], summary["agreements"]) == (8, 6)
 
     def test_zero_trials_is_an_empty_sweep(self):
         summary = random_svt_sweep(n=4, generator_bound=3, trials=0, seed=1)
-        assert (summary.agreements, summary.failures) == (0, 0)
+        assert (summary["agreements"], summary["failures"]) == (0, 0)
 
     def test_counterexample_reports_what_was_decided(self, monkeypatch):
         real = cech.is_vanishing
         monkeypatch.setattr(cech, "is_vanishing", lambda *a: not real(*a))
         summary = random_svt_sweep(n=4, generator_bound=3, trials=3, seed=2)
-        assert summary.failures == 3
-        cex = summary.first_counterexample
+        assert summary["failures"] == 3
+        cex = summary["first_counterexample"]
         ctx = context_of(4)
         I = SquareFreeIdeal.from_variable_lists(ctx, cex["generators"])
         assert cex["variables"] == list(ctx.names)
         assert cex["dim_quotient"] == dim_quotient(I)
         assert cex["connected"] == graphs.punctured_spectrum_connected(I)
         assert cex["vanishing"] is not real(I, 3, Q, EngineLimits())
-        assert summary.to_json()["first_counterexample"] == cex
+        assert sorted(summary) == [
+            "agreements", "failures", "field", "first_counterexample",
+            "generator_bound", "n", "seed", "trials",
+        ]
 
 
 FIXTURES = [

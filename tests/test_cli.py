@@ -484,12 +484,21 @@ class TestExitCodes:
             src = str(path)
         else:
             src = fixture_path(name)
+        with open(src) as fh:
+            doc = json.load(fh)
+        I = parse_ideal_document(doc)
+        # a document given by its primes parses with one search over them
+        primes = doc["ideal"].get("intersection_of_primes")
+        parses = [[I.context.mask_of(p) for p in primes]] if primes else []
         calls = []
         search = ideals._minimal_transversals
-        monkeypatch.setattr(ideals, "_minimal_transversals", lambda I: calls.append(I) or search(I))
+        monkeypatch.setattr(
+            ideals, "_minimal_transversals", lambda supports: calls.append(supports) or search(supports)
+        )
         code, _, err = invoke(capsys, "analyze", "--input", src, "--no-cache")
         assert code == 0 and err == ""
-        assert len(calls) == 1
+        assert [list(c) for c in calls] == parses + [list(I.generators)]
+        assert len(parses) == (name == "ex43.json")
 
     def test_graph_on_all_four_subsets_of_eight_variables(self, capsys, tmp_path):
         # r = 70 at the default variable cap: the generator count is not capped

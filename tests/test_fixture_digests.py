@@ -2,9 +2,10 @@
 
 tests/data/fixture_digests.json holds the sha256 of each
 `analyze --no-cache --max-vars 9` payload, less its `timings`, for all
-fixtures over Q, GF(2) and GF(3), and of each `graph --max-vars 9` JSON
-followed by its `--dot` text, for both kinds.  A change to the engine that
-keeps tables, verdicts, depth, hypotheses and graphs keeps every digest.
+fixtures over Q, GF(2) and GF(3), of each `graph --max-vars 9` JSON
+followed by its `--dot` text, for both kinds, and of the stdout of a few
+seeded `sweep` runs.  A change to the engine that keeps tables, verdicts,
+depth, hypotheses, graphs and sweeps keeps every digest.
 To write the file from the code as it stands:
 
     PYTHONPATH=src python tests/test_fixture_digests.py > tests/data/fixture_digests.json
@@ -26,6 +27,12 @@ from svtlab.cli import main
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "fixture_digests.json")
 FIELDS = ("rationals", "2", "3")
 KINDS = ("theta", "gamma")
+SWEEPS = (
+    "--vars 3 --trials 20 --seed 4",
+    "--vars 4 --trials 20 --seed 5",
+    "--vars 7 --trials 200 --seed 6 --field 2",
+    "--vars 6 --trials 300 --seed 9 --generator-bound 6 --field 3",
+)
 
 
 def payload_digest(name: str, field: str) -> str:
@@ -51,6 +58,13 @@ def graph_digest(name: str, kind: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def sweep_digest(args: str) -> str:
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(["sweep"] + args.split()) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def fixture_names() -> list:
     return sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
 
@@ -60,6 +74,8 @@ def all_digests() -> dict:
     for name in fixture_names():
         for kind in KINDS:
             digests[f"{name} graph {kind}"] = graph_digest(name, kind)
+    for args in SWEEPS:
+        digests[f"sweep {args}"] = sweep_digest(args)
     return digests
 
 
@@ -71,7 +87,8 @@ def _pinned() -> dict:
 def test_every_fixture_and_field_is_pinned():
     payloads = [f"{n} {f}" for n in fixture_names() for f in FIELDS]
     graphs = [f"{n} graph {k}" for n in fixture_names() for k in KINDS]
-    assert sorted(_pinned()) == sorted(payloads + graphs)
+    sweeps = [f"sweep {a}" for a in SWEEPS]
+    assert sorted(_pinned()) == sorted(payloads + graphs + sweeps)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -84,6 +101,11 @@ def test_payload_matches_its_digest(name, field):
 @pytest.mark.parametrize("name", fixture_names())
 def test_graph_matches_its_digest(name, kind):
     assert graph_digest(name, kind) == _pinned()[f"{name} graph {kind}"]
+
+
+@pytest.mark.parametrize("args", SWEEPS)
+def test_sweep_matches_its_digest(args):
+    assert sweep_digest(args) == _pinned()[f"sweep {args}"]
 
 
 if __name__ == "__main__":

@@ -17,10 +17,6 @@ from svtlab.ideals import (
     sum_ideals,
 )
 from svtlab.graphs import (
-    GAMMA,
-    THETA,
-    ConnectivityGraph,
-    _quotient_height,
     components,
     gamma_graph,
     is_connected,
@@ -40,6 +36,10 @@ TWO_PLANES_AND_A_LINE = primes(
     context_of(5), ["x1", "x2", "x4", "x5"], ["x1", "x3", "x4"], ["x2", "x3", "x5"]
 )
 
+# three lines through the origin of 3-space: every pair's union holds the
+# third prime, which has the least height, so each pair meets in height one
+THREE_COORDINATE_AXES = primes(context_of(3), ["x1", "x2"], ["x2", "x3"], ["x1", "x3"])
+
 
 @st.composite
 def sparse_graphs(draw):
@@ -48,47 +48,42 @@ def sparse_graphs(draw):
     t = draw(st.integers(1, 12))
     ends = st.integers(0, t - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * t))
-    edges = frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
+    edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b}))
     vertices = tuple(1 << v for v in range(t))
-    return ConnectivityGraph(THETA, vertices, edges)
-
-
-def quotient_height(I, mask):
-    return _quotient_height(minimal_primes(I), mask)
+    return vertices, edges
 
 
 class TestTheta:
     def test_example_43_connected(self):
         ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
         I = primes(ctx, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
-        G = theta_graph(I)
-        assert G.kind == THETA
-        assert len(G.vertices) == 2
+        vertices, edges = theta_graph(I)
+        assert len(vertices) == 2
         # q1+q2 leaves x4, y4 outside, so it is not m-primary: edge present
-        assert G.edges == frozenset({(0, 1)})
-        assert is_connected(G)
+        assert edges == ((0, 1),)
+        assert is_connected(vertices, edges)
 
     def test_example_46_disconnected(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2", "x3"], ["x4", "x5", "x6"])
-        G = theta_graph(I)
-        assert G.edges == frozenset()
-        assert not is_connected(G)
+        vertices, edges = theta_graph(I)
+        assert edges == ()
+        assert not is_connected(vertices, edges)
         assert not punctured_spectrum_connected(I)
 
     def test_example_47_path(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"], ["x5", "x6"])
-        G = theta_graph(I)
+        _, edges = theta_graph(I)
         # any two of the three 2-variable primes sum to a 4-variable prime:
         # never m-primary in 6 variables, so the graph is complete
-        assert G.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert edges == ((0, 1), (0, 2), (1, 2))
         assert punctured_spectrum_connected(I)
 
     def test_single_prime_connected(self):
         ctx = context_of(3)
-        G = theta_graph(primes(ctx, ["x1"]))
-        assert len(G.vertices) == 1 and is_connected(G)
+        vertices, edges = theta_graph(primes(ctx, ["x1"]))
+        assert len(vertices) == 1 and edges == () and is_connected(vertices, edges)
 
     def test_two_planes_in_4_vars_disconnected(self):
         ctx = context_of(4)
@@ -100,37 +95,15 @@ class TestTheta:
     def test_edges_match_sum_of_primes_definition(self, I):
         # the definition, on ideal objects: p_i + p_j is not m-primary
         ps = minimal_primes(I)
-        expected = {
+        expected = tuple(
             (i, j)
             for i in range(len(ps))
             for j in range(i + 1, len(ps))
             if not is_m_primary(
                 sum_ideals(prime_ideal(I.context, ps[i]), prime_ideal(I.context, ps[j]))
             )
-        }
-        assert theta_graph(I).edges == frozenset(expected)
-
-
-class TestQuotientHeight:
-    def test_example_43_sum(self):
-        ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
-        I = primes(ctx, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
-        union = ctx.mask_of(["x1", "x2", "x3", "y1", "y2", "y3"])
-        assert quotient_height(I, union) == 3
-
-    def test_height_zero_on_minimal_prime(self):
-        ctx = context_of(4)
-        I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
-        assert quotient_height(I, ctx.mask_of(["x1", "x2"])) == 0
-
-    @given(proper_ideals(max_n=5))
-    @settings(max_examples=60, deadline=None)
-    @example(I=TWO_PLANES_AND_A_LINE)
-    def test_matches_chain_oracle(self, I):
-        # every coordinate prime containing I, mixed ideals included
-        for mask in range(1, 1 << I.context.n):
-            if all(g & mask for g in I.generators):
-                assert quotient_height(I, mask) == brute_force_quotient_height(I, mask)
+        )
+        assert theta_graph(I) == (ps, expected)
 
 
 class TestGamma:
@@ -138,24 +111,25 @@ class TestGamma:
         ctx = context_of(4)
         # mixed: a line and a plane
         I = primes(ctx, ["x1", "x2", "x3"], ["x3", "x4"])
-        G = gamma_graph(I)
-        assert [ctx.prime_label(p) for p in G.vertices] == ["P{x3,x4}"]
+        vertices, edges = gamma_graph(I)
+        assert [ctx.prime_label(p) for p in vertices] == ["P{x3,x4}"]
+        assert edges == ()
 
     def test_subgraph_of_theta_when_unmixed(self):
         ctx = context_of(6)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"], ["x5", "x6"])
-        g = gamma_graph(I)
-        t = theta_graph(I)
-        assert g.vertices == t.vertices
-        assert g.edges <= t.edges
+        g_vertices, g_edges = gamma_graph(I)
+        t_vertices, t_edges = theta_graph(I)
+        assert g_vertices == t_vertices
+        assert set(g_edges) <= set(t_edges)
         # no pair of these primes meets in codimension one in the quotient
-        assert g.edges == frozenset()
+        assert g_edges == ()
 
     def test_edge_when_primes_overlap(self):
         ctx = context_of(3)
         I = primes(ctx, ["x1"], ["x2"])
-        G = gamma_graph(I)
-        assert G.edges == frozenset({(0, 1)})
+        _, edges = gamma_graph(I)
+        assert edges == ((0, 1),)
 
     @given(proper_ideals())
     @settings(max_examples=60, deadline=None)
@@ -163,22 +137,23 @@ class TestGamma:
         ps = minimal_primes(I)
         if len({p.bit_count() for p in ps}) != 1 or dim_quotient(I) < 2:
             return
-        assert gamma_graph(I).edges <= theta_graph(I).edges
+        assert set(gamma_graph(I)[1]) <= set(theta_graph(I)[1])
 
     @given(proper_ideals(max_n=6, max_gens=6))
     @settings(max_examples=80, deadline=None)
     @example(I=TWO_PLANES_AND_A_LINE)
+    @example(I=THREE_COORDINATE_AXES)
     def test_matches_the_definition(self, I):
+        # the chain oracle, not the size rule gamma_graph uses
         dim = dim_quotient(I)
         top = tuple(p for p in minimal_primes(I) if I.context.n - p.bit_count() == dim)
-        expected = {
+        expected = tuple(
             (i, j)
             for i in range(len(top))
             for j in range(i + 1, len(top))
             if brute_force_quotient_height(I, top[i] | top[j]) == 1
-        }
-        G = gamma_graph(I)
-        assert G.vertices == top and G.edges == frozenset(expected)
+        )
+        assert gamma_graph(I) == (top, expected)
 
     def test_disjoint_pairs_give_the_cube(self, monkeypatch):
         # (x1x2, x3x4, ..., x11x12): the 2^6 primes pick one variable per
@@ -193,19 +168,20 @@ class TestGamma:
             return real(J)
 
         monkeypatch.setattr(graphs, "minimal_primes", spy)
-        G = gamma_graph(I)
+        vertices, edges = gamma_graph(I)
         assert len(calls) <= 1
-        assert len(G.vertices) == 64 and len(G.edges) == 192
-        for i, j in G.edges:
-            assert (G.vertices[i] ^ G.vertices[j]).bit_count() == 2
+        assert len(vertices) == 64 and len(edges) == 192
+        assert edges == tuple(sorted(edges))
+        for i, j in edges:
+            assert (vertices[i] ^ vertices[j]).bit_count() == 2
 
 
 class TestConnectivityHelpers:
     def test_to_dot(self):
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x2", "x3"])
-        dot = to_dot(theta_graph(I), ctx)
-        assert dot.startswith("graph")
+        dot = to_dot("theta", *theta_graph(I), ctx)
+        assert dot.startswith("graph theta {")
         assert 'P{x1,x2}' in dot and "v0 -- v1" in dot
 
 
@@ -213,9 +189,10 @@ class TestComponents:
     @given(sparse_graphs())
     @settings(max_examples=200, deadline=None)
     def test_matches_breadth_first_search(self, G):
-        count = bfs_components(len(G.vertices), G.edges)
-        assert components(G) == count
-        assert is_connected(G) == (count == 1)
+        vertices, edges = G
+        count = bfs_components(len(vertices), edges)
+        assert components(vertices, edges) == count
+        assert is_connected(vertices, edges) == (count == 1)
 
     def test_theta_and_gamma_of_seeded_ideals(self):
         rng = random.Random(18)
@@ -226,18 +203,17 @@ class TestComponents:
                 lists = [rng.sample(context_of(n).names, rng.randint(1, n - 1))
                          for _ in range(rng.randint(1, 4))]
                 sample.append(primes(context_of(n), *lists))
-        counts = {THETA: set(), GAMMA: set()}
+        counts = {"theta": set(), "gamma": set()}
         for I in sample:
-            for G in (theta_graph(I), gamma_graph(I)):
-                count = components(G)
-                assert count == bfs_components(len(G.vertices), G.edges)
-                counts[G.kind].add(count)
+            for kind, (vertices, edges) in (("theta", theta_graph(I)), ("gamma", gamma_graph(I))):
+                count = components(vertices, edges)
+                assert count == bfs_components(len(vertices), edges)
+                counts[kind].add(count)
         # the sample is not all connected, on either graph
-        assert counts[THETA] >= {1, 2, 3} and counts[GAMMA] >= {1, 2}
+        assert counts["theta"] >= {1, 2, 3} and counts["gamma"] >= {1, 2}
 
     def test_empty_graph_raises(self):
-        G = ConnectivityGraph(THETA, (), frozenset())
         with pytest.raises(ValueError):
-            components(G)
+            components((), ())
         with pytest.raises(ValueError):
-            is_connected(G)
+            is_connected((), ())

@@ -3,7 +3,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import context_of, proper_ideals
-from oracles import bfs_components, brute_force_facets, brute_force_intersection_supports
+from oracles import (
+    bfs_components,
+    brute_force_facets,
+    brute_force_intersection_supports,
+    intersection_fold,
+)
 
 from svtlab.ideals import (
     CapExceededError,
@@ -83,6 +88,31 @@ class TestIntersect:
         J = SquareFreeIdeal.from_supports(context_of(4), [1])
         with pytest.raises(ContextMismatchError):
             intersect(I, J)
+
+
+@st.composite
+def prime_lists(draw):
+    """A ring of 1..8 variables and 0..6 variable lists in it, empty or repeated ones included."""
+    ctx = context_of(draw(st.integers(1, 8)))
+    masks = draw(st.lists(st.integers(0, ctx.full_mask), max_size=6))
+    return ctx, [list(ctx.names_of(m)) for m in masks]
+
+
+class TestIntersectionOfPrimes:
+    @given(prime_lists())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(context_of(3), []))
+    @example(case=(context_of(3), [["x1", "x2"], ["x2", "x3"], ["x1", "x2"], ["x2", "x3"]]))
+    @example(case=(context_of(2), [["x1"], [], ["x1"]]))
+    def test_matches_the_fold_of_intersect(self, case):
+        ctx, lists = case
+        if not lists:
+            with pytest.raises(ValueError, match="empty intersection"):
+                SquareFreeIdeal.intersection_of_primes(ctx, lists)
+            with pytest.raises(ValueError, match="empty intersection"):
+                intersection_fold(ctx, lists)
+            return
+        assert SquareFreeIdeal.intersection_of_primes(ctx, lists) == intersection_fold(ctx, lists)
 
 
 class TestSum:
