@@ -156,7 +156,7 @@ def random_square_free_ideal(
         for v in rng.sample(range(n), rng.randint(2, n - 1)):
             m |= 1 << v
         masks.append(m)
-    return SquareFreeIdeal.from_supports(context, masks)
+    return SquareFreeIdeal(context, masks)
 
 
 def random_svt_sweep(

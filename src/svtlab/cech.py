@@ -113,8 +113,6 @@ class GradedComplex:
     """The Cech complex of one negativity pattern (the tests' oracle)."""
 
     r: int
-    pattern: int
-    supports: tuple  # generator support masks
     active: list  # active[k]: sorted list of k-subset masks of [r]
 
     def differential(self, k: int) -> list:
@@ -154,7 +152,7 @@ def build_graded_complex(I: SquareFreeIdeal, pattern: int) -> GradedComplex:
         unions[T] = u
         if pattern & u == pattern:
             active[T.bit_count()].append(T)
-    return GradedComplex(r, pattern, supports, active)
+    return GradedComplex(r, active)
 
 
 @dataclass

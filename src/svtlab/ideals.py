@@ -143,7 +143,7 @@ class SquareFreeIdeal:
     """Minimized generator set; () is the zero ideal, (0,) the unit ideal."""
 
     context: VariableContext
-    generators: tuple  # sorted tuple of support bitmasks
+    generators: tuple  # support bitmasks, any iterable; kept minimized and sorted
 
     def __post_init__(self):
         gens = minimize_supports(self.generators)
@@ -152,16 +152,8 @@ class SquareFreeIdeal:
             raise ValueError("generator support outside the variable context")
 
     @classmethod
-    def from_supports(cls, context: VariableContext, masks: Iterable) -> "SquareFreeIdeal":
-        return cls(context, tuple(masks))
-
-    @classmethod
     def from_variable_lists(cls, context: VariableContext, lists: Iterable) -> "SquareFreeIdeal":
         return cls(context, tuple(context.mask_of(g) for g in lists))
-
-    @classmethod
-    def maximal(cls, context: VariableContext) -> "SquareFreeIdeal":
-        return cls(context, tuple(1 << i for i in range(context.n)))
 
     @classmethod
     def intersection_of_primes(cls, context: VariableContext, prime_lists: Iterable) -> "SquareFreeIdeal":

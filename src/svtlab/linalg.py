@@ -41,11 +41,8 @@ from math import gcd
 
 from .fields import FieldSpec
 
-SparseRow = dict
-SparseMatrix = list
 
-
-def rank(rows: SparseMatrix, field: FieldSpec) -> int:
+def rank(rows: list, field: FieldSpec) -> int:
     """Rank of a sparse integer matrix over `field`; `rows` is left unchanged."""
     p = field.characteristic
     kept: dict = {}  # leading column -> the kept row that starts there

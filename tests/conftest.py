@@ -34,7 +34,7 @@ def proper_ideals(draw, min_n=3, max_n=5, max_gens=4):
     gens = draw(
         st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_gens)
     )
-    I = SquareFreeIdeal.from_supports(ctx, gens)
+    I = SquareFreeIdeal(ctx, gens)
     return I
 
 

@@ -19,7 +19,7 @@ from svtlab.cech import (
 )
 from svtlab.fields import FieldSpec
 from svtlab.ideals import SquareFreeIdeal, VariableContext, bits, intersect
-from svtlab.simplicial import SimplicialComplex, _coboundary_rows, complex_from_ideal, link
+from svtlab.simplicial import _coboundary_rows
 
 
 def monomial_in_ideal(I: SquareFreeIdeal, support: int) -> bool:
@@ -115,6 +115,11 @@ def _subsets(n: int, k: int):
             m |= 1 << v
         out.append(m)
     return sorted(out)
+
+
+def maximal_ideal(context: VariableContext) -> SquareFreeIdeal:
+    """The ideal of all the variables."""
+    return SquareFreeIdeal(context, tuple(1 << i for i in range(context.n)))
 
 
 def prime_ideal(context: VariableContext, mask: int) -> SquareFreeIdeal:
@@ -243,53 +248,76 @@ def hochster_table_all_faces(I: SquareFreeIdeal, field=FieldSpec(0)) -> dict:
     """(i, face) -> dim H~^{i-|F|-1}(lk F) over every face F of the complex.
 
     Hochster's formula face by face, each link by full elimination: no
-    cone test and no restriction to intersections of facets."""
-    delta = complex_from_ideal(I)
+    cone test and no restriction to intersections of facets.  The faces
+    come from the brute-force facets, and each link from the faces, as
+    those G disjoint from F whose union with F is a face."""
+    faces = sorted(f for level in faces_by_card(tuple(brute_force_facets(I))) for f in level)
+    face_set = set(faces)
     table = {}
-    for face in sorted(f for level in faces_by_card(delta) for f in level):
-        lk = link(delta, face)
-        for d, h in reduced_cohomology_by_elimination(lk, field).items():
+    for face in faces:
+        lk = [g for g in faces if not g & face and g | face in face_set]
+        for d, h in reduced_cohomology_by_elimination(_facets_of(lk), field).items():
             table[(d + face.bit_count() + 1, face)] = h
     return table
 
 
-def faces_by_card(delta: SimplicialComplex) -> list:
-    """faces_by_card(delta)[c] is the sorted list of faces with c vertices.
+def _union(facets) -> int:
+    """The vertex set of a complex: the union of its facets."""
+    union = 0
+    for f in facets:
+        union |= f
+    return union
+
+
+def contains(facets: tuple, face: int) -> bool:
+    """Whether `face` is a face of the complex: some facet holds it."""
+    return any(face & f == face for f in facets)
+
+
+def _facets_of(faces) -> tuple:
+    """The sorted faces of `faces` that lie in no other."""
+    return tuple(sorted(f for f in faces if not any(f != g and f & g == f for g in faces)))
+
+
+def faces_by_card(facets: tuple) -> list:
+    """faces_by_card(facets)[c] is the sorted list of faces with c vertices.
 
     Every face is a submask of a facet, so one submask walk per facet
     finds them all; VOID has no cardinality levels at all.
     """
-    if not delta.facets:
+    if not facets:
         return []
     faces = set()
-    for f in delta.facets:
+    for f in facets:
         sub = f
         while sub:
             faces.add(sub)
             sub = (sub - 1) & f
-    levels = [[0]] + [[] for _ in range(max(map(int.bit_count, delta.facets)))]
+    levels = [[0]] + [[] for _ in range(max(map(int.bit_count, facets)))]
     for face in sorted(faces):
         levels[face.bit_count()].append(face)
     return levels
 
 
-def reduced_euler_characteristic(delta: SimplicialComplex) -> int:
+def reduced_euler_characteristic(facets: tuple) -> int:
     """sum over nonempty-and-empty faces of (-1)^(|F|-1); VOID gives 0."""
     return sum(
-        (-1) ** (c - 1) * len(level) for c, level in enumerate(faces_by_card(delta))
+        (-1) ** (c - 1) * len(level) for c, level in enumerate(faces_by_card(facets))
     )
 
 
-def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(0)) -> dict:
-    """d -> dim H~^d(delta), nonzero only, from the rank of every coboundary."""
-    levels = faces_by_card(delta)
+def reduced_cohomology_by_elimination(facets: tuple, field=FieldSpec(0)) -> dict:
+    """d -> dim H~^d of the complex with these facets, nonzero only, from
+    the rank of every coboundary."""
+    levels = faces_by_card(facets)
+    vertices = bits(_union(facets))
     ranks = [0] * (len(levels) + 1)
     for c in range(len(levels) - 1):
         col = {g: j for j, g in enumerate(levels[c + 1])}
         rows = []
         for f in levels[c]:
             row = {}
-            for v in range(delta.n):
+            for v in vertices:
                 b = 1 << v
                 j = col.get(f | b) if not f & b else None
                 if j is not None:
@@ -304,15 +332,14 @@ def reduced_cohomology_by_elimination(delta: SimplicialComplex, field=FieldSpec(
     return dims
 
 
-def relative_cohomology_by_elimination(
-    delta: SimplicialComplex, sub: SimplicialComplex, field=FieldSpec(0)
-) -> dict:
-    """d -> dim H^d(delta, sub), nonzero only, sub holding the empty face.
+def relative_cohomology_by_elimination(delta: tuple, sub: tuple, field=FieldSpec(0)) -> dict:
+    """d -> dim H^d(delta, sub), nonzero only, for facet tuples with sub a
+    subcomplex holding the empty face.
 
     Every face of delta is enumerated and tested against sub, and each
     coboundary between the faces outside sub is a dense matrix ranked by
     dense elimination."""
-    levels = [[f for f in level if not sub.contains(f)] for level in faces_by_card(delta)]
+    levels = [[f for f in level if not contains(sub, f)] for level in faces_by_card(delta)]
     ranks = [0] * (len(levels) + 1)
     for c in range(len(levels) - 1):
         matrix = [
@@ -328,10 +355,9 @@ def relative_cohomology_by_elimination(
     return dims
 
 
-def restriction_rank(
-    delta: SimplicialComplex, sub: SimplicialComplex, d: int, field: FieldSpec
-) -> int:
-    """Rank of the restriction H~^d(delta) -> H~^d(sub), sub a subcomplex of delta.
+def restriction_rank(delta: tuple, sub: tuple, d: int, field: FieldSpec) -> int:
+    """Rank of the restriction H~^d(delta) -> H~^d(sub), for facet tuples
+    with sub a subcomplex of delta.
 
     The cochains of delta vanishing on sub form a subcomplex C(delta, sub)
     with the same signs, and the image of H~^d(delta, sub) in H~^d(delta)
@@ -372,12 +398,9 @@ def multiplication_rank_by_three_ranks(
     return restriction_rank(delta, sub, i - 2, field)
 
 
-def _variable_complex(I: SquareFreeIdeal, pattern: int) -> SimplicialComplex:
-    """The complex on the variables with facets the maximal N minus supp(f_t)."""
-    faces = {pattern & ~g for g in I.generators}
-    return SimplicialComplex(
-        I.context.n, [f for f in faces if not any(f != g and f & g == f for g in faces)]
-    )
+def _variable_complex(I: SquareFreeIdeal, pattern: int) -> tuple:
+    """The facets of the complex on the variables: the maximal N minus supp(f_t)."""
+    return _facets_of({pattern & ~g for g in I.generators})
 
 
 def dense_rank(matrix, field=FieldSpec(0)) -> int:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import context_of, fixture_path, seeded_random_ideals
-from oracles import brute_force_facets, is_artinian, is_divisible, prime_ideal
+from oracles import brute_force_facets, is_artinian, is_divisible, maximal_ideal, prime_ideal
 
 from svtlab.analysis import (
     grade_check,
@@ -95,7 +95,7 @@ def test_criterion_02_disconnected_blocks_match_injective_hull():
     I = load_fixture("ex46.json")
     vertices, edges = theta_graph(I)
     table = local_cohomology_table(I, Q)
-    m = SquareFreeIdeal.maximal(I.context)
+    m = maximal_ideal(I.context)
     m_table = local_cohomology_table(m, Q)
     full = I.context.full_mask
     checks = [
@@ -139,14 +139,14 @@ def test_criterion_04_block_family_reduction_and_cap():
 
 def test_criterion_05_surjectivity_fixtures():
     ctx3 = context_of(3)
-    m_table = local_cohomology_table(SquareFreeIdeal.maximal(ctx3), Q)
+    m_table = local_cohomology_table(maximal_ideal(ctx3), Q)
     m_checks = [
         is_multiplication_surjective(m_table, 3, 1 << j)
         for j in range(3)
     ] + [is_divisible(m_table, 3)]
 
     ctx2 = VariableContext(("x", "y"))
-    y_table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx2, [0b10]), Q)  # (y)
+    y_table = local_cohomology_table(SquareFreeIdeal(ctx2, [0b10]), Q)  # (y)
     x = ctx2.mask_of(["x"])
     y = ctx2.mask_of(["y"])
     split_checks = [
@@ -212,7 +212,7 @@ def test_criterion_08_q_invariant_of_coordinate_primes():
         )
         checks.append(q_invariant(local_cohomology_table(p, Q)) == n - 3)
     ctx = context_of(4)
-    m = SquareFreeIdeal.maximal(ctx)
+    m = maximal_ideal(ctx)
     table = local_cohomology_table(m, Q)
     checks.append(q_invariant(table) is None)
     checks.append(all(is_artinian(table, i) for i in range(ctx.n + 1)))
@@ -226,7 +226,7 @@ def test_criterion_09_dual_algorithm_consistency():
         n = rng.randint(3, 8)
         ctx = context_of(n)
         gens = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 5))]
-        I = SquareFreeIdeal.from_supports(ctx, gens)
+        I = SquareFreeIdeal(ctx, gens)
         if I.is_zero or I.is_unit:
             continue  # both sides undefined for degenerate draws
         full = ctx.full_mask

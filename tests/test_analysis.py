@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import context_of, fixture_path, proper_ideals
-from oracles import hochster_table_all_faces, prime_ideal
+from oracles import hochster_table_all_faces, maximal_ideal, prime_ideal
 from test_cech import FIELDS, projective_plane_ideal
 
 from svtlab import analysis, cech, graphs, simplicial
@@ -153,13 +153,13 @@ class TestSvtCheck:
 class TestSentinels:
     def test_hlv_examples(self):
         ctx = context_of(4)
-        assert hlv_check(local_cohomology_table(SquareFreeIdeal.maximal(ctx), Q))
+        assert hlv_check(local_cohomology_table(maximal_ideal(ctx), Q))
         assert hlv_check(local_cohomology_table(primes(ctx, ["x1", "x2"], ["x3", "x4"]), Q))
 
     def test_grade_examples(self):
         ctx = context_of(4)
         assert grade_check(local_cohomology_table(primes(ctx, ["x1", "x2"], ["x3", "x4"]), Q))
-        assert grade_check(local_cohomology_table(SquareFreeIdeal.from_supports(ctx, [0b1111]), Q))
+        assert grade_check(local_cohomology_table(SquareFreeIdeal(ctx, [0b1111]), Q))
 
     @given(proper_ideals())
     @settings(max_examples=25, deadline=None)
@@ -208,7 +208,7 @@ class TestMayerVietoris:
 
     def test_rejects_unit_input(self):
         ctx = context_of(2)
-        unit = SquareFreeIdeal.from_supports(ctx, [0])
+        unit = SquareFreeIdeal(ctx, [0])
         with pytest.raises(ValueError):
             mayer_vietoris_check(primes(ctx, ["x1"]), unit, Q)
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conftest import context_of, fixture_path
+from oracles import maximal_ideal
 
 import svtlab
 from svtlab import cache
@@ -50,7 +51,7 @@ def test_stored_bytes_equal_json_dump(tmp_path, name):
 def test_key_depends_on_field_and_ideal(tmp_path):
     I = make_ideal()
     ctx = I.context
-    J = SquareFreeIdeal.maximal(ctx)
+    J = maximal_ideal(ctx)
     k = cache.cache_key(I, Q)
     assert k != cache.cache_key(I, FieldSpec(2))
     assert k != cache.cache_key(J, Q)
@@ -59,8 +60,8 @@ def test_key_depends_on_field_and_ideal(tmp_path):
 
 def test_key_ignores_generator_order(tmp_path):
     ctx = context_of(4)
-    a = SquareFreeIdeal.from_supports(ctx, [0b0011, 0b1100])
-    b = SquareFreeIdeal.from_supports(ctx, [0b1100, 0b0011])
+    a = SquareFreeIdeal(ctx, [0b0011, 0b1100])
+    b = SquareFreeIdeal(ctx, [0b1100, 0b0011])
     assert cache.cache_key(a, Q) == cache.cache_key(b, Q)
 
 
@@ -147,7 +148,7 @@ def test_empty_pattern_evicted(tmp_path):
 
 def test_pattern_outside_support_union_evicted(tmp_path):
     d = str(tmp_path)
-    I = SquareFreeIdeal.from_supports(context_of(3), [0b011])  # (x1*x2)
+    I = SquareFreeIdeal(context_of(3), [0b011])  # (x1*x2)
     path = planted_entries(d, I, {"i": 1, "pattern": ["x1", "x3"], "dim": 1})
     assert cache.lookup(d, I, Q) is None
     assert not os.path.exists(path)
@@ -196,7 +197,7 @@ def test_entry_out_of_table_order_is_served_in_it(tmp_path, entries):
 def test_well_formed_planted_entry_is_served(tmp_path):
     # the checks bound what an entry may say, not whether it is true
     d = str(tmp_path)
-    I = SquareFreeIdeal.from_supports(context_of(3), [0b011])
+    I = SquareFreeIdeal(context_of(3), [0b011])
     planted_entries(d, I, {"i": 1, "pattern": ["x1", "x2"], "dim": 2})
     assert cache.lookup(d, I, Q).dims == {(1, 0b011): 2}
 

@@ -11,6 +11,7 @@ from oracles import (
     is_artinian,
     is_divisible,
     localized_piece_dim,
+    maximal_ideal,
     multiplication_rank_by_cocycles,
     multiplication_rank_by_three_ranks,
 )
@@ -50,21 +51,34 @@ def primes(ctx, *lists):
     return SquareFreeIdeal.intersection_of_primes(ctx, list(lists))
 
 
+# the multiplication by x3 on H^3 fails onto {x1, x2, x4, x5} by rank alone
+RANK_DEFICIENT = {
+    "variables": ["x1", "x2", "x3", "x4", "x5"],
+    "ideal": {
+        "generators": [["x1", "x2"], ["x2", "x4"], ["x1", "x3", "x4"], ["x1", "x5"], ["x4", "x5"]]
+    },
+}
+
+
+def rank_deficient_ideal():
+    return parse_ideal_document(RANK_DEFICIENT)
+
+
 def three_axes():
     """(x1x2, x1x3, x2x3): the three coordinate axes of 3-space."""
-    return SquareFreeIdeal.from_supports(context_of(3), [0b011, 0b101, 0b110])
+    return SquareFreeIdeal(context_of(3), [0b011, 0b101, 0b110])
 
 
 class TestLimits:
     def test_variable_cap(self):
         ctx = VariableContext(tuple(f"z{i}" for i in range(9)))
-        I = SquareFreeIdeal.from_supports(ctx, [1])
+        I = SquareFreeIdeal(ctx, [1])
         with pytest.raises(CapExceededError):
             local_cohomology_table(I, Q)
 
     def test_cap_override(self):
         ctx = VariableContext(tuple(f"z{i}" for i in range(9)))
-        I = SquareFreeIdeal.from_supports(ctx, [0b111111111])
+        I = SquareFreeIdeal(ctx, [0b111111111])
         table = local_cohomology_table(I, Q, EngineLimits(max_vars=9))
         assert table.row(1)  # principal ideal: H^1 only
 
@@ -74,7 +88,7 @@ class TestGradedComplex:
         # one inverted monomial: the degree piece is k exactly when every
         # negative coordinate hits the inverted support
         ctx = context_of(3)
-        I = SquareFreeIdeal.from_supports(ctx, [0b011])
+        I = SquareFreeIdeal(ctx, [0b011])
         for pattern in range(8):
             cx = build_graded_complex(I, pattern)
             active = bool(cx.active[1])
@@ -98,7 +112,7 @@ class TestGradedComplex:
 
     def test_empty_pattern_has_unit_term(self):
         ctx = context_of(2)
-        I = SquareFreeIdeal.from_supports(ctx, [0b01])
+        I = SquareFreeIdeal(ctx, [0b01])
         cx = build_graded_complex(I, 0)
         assert cx.active[0] == [0]
         assert cx.active[1] == [1]
@@ -107,7 +121,7 @@ class TestGradedComplex:
         # the oracle pays 2^r, which n does not bound, so n past the
         # engine's default cap builds like any other
         ctx = context_of(DEFAULT_LIMITS.max_vars + 1)
-        I = SquareFreeIdeal.from_supports(ctx, [0b11, 0b1100, 1 << (ctx.n - 1)])
+        I = SquareFreeIdeal(ctx, [0b11, 0b1100, 1 << (ctx.n - 1)])
         cx = build_graded_complex(I, I.support_union())
         assert [len(level) for level in cx.active] == [0, 0, 0, 1]
 
@@ -115,14 +129,14 @@ class TestGradedComplex:
 class TestTableExamples:
     def test_principal_ideal(self):
         ctx = context_of(2)
-        I = SquareFreeIdeal.from_supports(ctx, [0b01])  # (x1)
+        I = SquareFreeIdeal(ctx, [0b01])  # (x1)
         table = local_cohomology_table(I, Q)
         assert table.row(1) == {0b01: 1}
         assert cohomological_dimension(table) == 1
 
     def test_maximal_ideal_top_row(self):
         ctx = context_of(3)
-        m = SquareFreeIdeal.maximal(ctx)
+        m = maximal_ideal(ctx)
         table = local_cohomology_table(m, Q)
         assert table.nonzero_rows() == [3]
         assert table.row(3) == {0b111: 1}
@@ -149,7 +163,7 @@ class TestTableExamples:
         # top-minus-one row is the injective hull pattern: one class, full support
         assert not is_vanishing(I, 5, Q)
         assert table.row(5) == {0b111111: 1}
-        m_table = local_cohomology_table(SquareFreeIdeal.maximal(ctx), Q)
+        m_table = local_cohomology_table(maximal_ideal(ctx), Q)
         assert table.row(5) == m_table.row(6)
         assert is_artinian(table, 5)
 
@@ -192,11 +206,11 @@ def projective_plane_ideal():
         F for F in range(1 << 6)
         if F.bit_count() == 3 and F not in faces
     ]
-    return SquareFreeIdeal.from_supports(context_of(6), non_faces)
+    return SquareFreeIdeal(context_of(6), non_faces)
 
 
 # (x1x2, x3x4): facets x1x3, x1x4, x2x3, x2x4, so m = 2 = n - r
-TWO_DISJOINT_EDGES = SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100])
+TWO_DISJOINT_EDGES = SquareFreeIdeal(context_of(4), [0b0011, 0b1100])
 
 
 class TestAgainstCechOracle:
@@ -206,16 +220,16 @@ class TestAgainstCechOracle:
     @given(proper_ideals(max_n=5, max_gens=6))
     @settings(max_examples=150, deadline=None)
     # (x1x2, x3x4): all nine covering patterns share one memo key
-    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]))
+    @example(I=SquareFreeIdeal(context_of(4), [0b0011, 0b1100]))
     # (x1, x2) cap (x3, x4, x5): eleven covering patterns, eleven memo keys
     @example(I=primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]))
     # x1 * (x2, x3, x4): H^1 at N = {x1}, where K_N is the empty complex, and
     # H^3 at N = {x2, x3, x4} and [4], where K_N is a triangle's boundary
-    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b0101, 0b1001]))
+    @example(I=SquareFreeIdeal(context_of(4), [0b0011, 0b0101, 0b1001]))
     # (x1x2x3x4x5): t = 5 facets > 2r = 2, the pattern side of the rule
-    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b11111]))
+    @example(I=SquareFreeIdeal(context_of(5), [0b11111]))
     # (x1x2x3, x4x5): t = 6 facets > 2r = 4, the pattern side of the rule
-    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00111, 0b11000]))
+    @example(I=SquareFreeIdeal(context_of(5), [0b00111, 0b11000]))
     def test_table_equals_oracle(self, field, I):
         oracle = cech_table_dims(I, field)
         assert local_cohomology_table(I, field).dims == oracle
@@ -237,7 +251,7 @@ class TestAgainstCechOracle:
         "I, calls",
         [
             # nine covering patterns, one memo key (two points on the generators)
-            (SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]), 1),
+            (SquareFreeIdeal(context_of(4), [0b0011, 0b1100]), 1),
             # eleven covering patterns, all distinct
             (primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]), 11),
         ],
@@ -291,13 +305,13 @@ class TestWalkChoice:
         "I, hochster",
         [
             # (x1x2, x3x4): t = 4 = 2r, the last count on the Hochster side
-            (SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]), True),
+            (SquareFreeIdeal(context_of(4), [0b0011, 0b1100]), True),
             # (x1x2x3x4x5, x6): t = 5 = 2r + 1, the first on the pattern side
-            (SquareFreeIdeal.from_supports(context_of(6), [0b011111, 0b100000]), False),
+            (SquareFreeIdeal(context_of(6), [0b011111, 0b100000]), False),
             # (x1x2x3x4x5): t = 5 > 2r = 2
-            (SquareFreeIdeal.from_supports(context_of(5), [0b11111]), False),
+            (SquareFreeIdeal(context_of(5), [0b11111]), False),
             # the maximal ideal: t = 1 <= 2r = 6
-            (SquareFreeIdeal.maximal(context_of(3)), True),
+            (maximal_ideal(context_of(3)), True),
         ],
     )
     def test_walk_at_the_boundary(self, I, hochster):
@@ -307,7 +321,7 @@ class TestWalkChoice:
     @given(proper_ideals(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_hochster_walk_exactly_when_t_at_most_2r(self, I):
-        t = len(simplicial.complex_from_ideal(I).facets)
+        t = len(simplicial.complex_from_ideal(I))
         table, calls = hochster_calls(lambda: local_cohomology_table(I, Q))
         assert calls == ([Q] if t <= 2 * I.r else [])
         assert table.dims == pattern_table(I, Q).dims
@@ -318,7 +332,7 @@ class TestWalkChoice:
 
 def all_subsets_ideal(n, k):
     """The ideal of all k-subsets of n variables, C(n, k) generators."""
-    return SquareFreeIdeal.from_supports(
+    return SquareFreeIdeal(
         context_of(n), [m for m in range(1 << n) if m.bit_count() == k]
     )
 
@@ -361,28 +375,28 @@ class TestStructuralInvariants:
     @example(I=TWO_DISJOINT_EDGES)
     # triangle_and_edge, (x1x2, x2x3, x1x3, x4x5): m = n - r + 1, no
     # generator has a variable of its own, so beta_r = 0 and depth 2
-    @example(I=SquareFreeIdeal.from_supports(context_of(5), [0b00011, 0b00110, 0b00101, 0b11000]))
+    @example(I=SquareFreeIdeal(context_of(5), [0b00011, 0b00110, 0b00101, 0b11000]))
     # RP^2: m > n - r + 1; depth 3 over Q and GF(3), 2 over GF(2), from
     # H~^1 of the whole complex; cd 3, 4 and 3
     @example(I=projective_plane_ideal())
     # I = m: the EMPTY complex, depth 0
-    @example(I=SquareFreeIdeal.maximal(context_of(3)))
+    @example(I=maximal_ideal(context_of(3)))
     # two planes meeting in a point: a disconnected complex, depth 1
     @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
     # (x1 x2) in three variables: a cone over x3, Cohen-Macaulay of depth 2
-    @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011]))
+    @example(I=SquareFreeIdeal(context_of(3), [0b011]))
     # an annulus of six triangles: H~^1 = k in every characteristic, depth 2
-    @example(I=SquareFreeIdeal.from_supports(
+    @example(I=SquareFreeIdeal(
         context_of(6), [0b000111, 0b001100, 0b010001, 0b100010, 0b111000]
     ))
     # lk x6 has facets x2x3, x2x5, x3x5, x1x4x7, x1x5x7 in that order: the
     # last one joins the fourth to the rest, so connectivity needs a second pass
-    @example(I=SquareFreeIdeal.from_supports(
+    @example(I=SquareFreeIdeal(
         context_of(7), [0b101, 0b1010, 0b1100, 0b10110, 0b11000, 0b100011, 0b1000010, 0b1000100]
     ))
     # lk x1 and lk x2x3 are both the hollow tetrahedron on x4..x7: its
     # H~^2 is row 3, the depth, at x1 and row 5, above m = 4, at x2x3
-    @example(I=SquareFreeIdeal.from_supports(context_of(7), [0b11, 0b101, 0b1111000]))
+    @example(I=SquareFreeIdeal(context_of(7), [0b11, 0b101, 0b1111000]))
     def test_cd_equals_n_minus_depth(self, field, I):
         # independent oracle: cohomological dimension of a monomial ideal
         # (Mustata's formula on the Dowker complexes) matches n - depth(S/I),
@@ -430,7 +444,7 @@ class TestStructuralInvariants:
         table = local_cohomology_table(I, Q)
         extra = [g | 1 for g in I.generators]  # multiples of existing generators
         J = SquareFreeIdeal(I.context, tuple(I.generators))
-        K = SquareFreeIdeal.from_supports(I.context, list(I.generators) + extra)
+        K = SquareFreeIdeal(I.context, list(I.generators) + extra)
         assert K == J
         assert local_cohomology_table(K, Q).dims == table.dims
 
@@ -454,13 +468,13 @@ class TestStructuralInvariants:
 class TestMultiplication:
     def test_maximal_ideal_fully_divisible(self):
         ctx = context_of(3)
-        m = SquareFreeIdeal.maximal(ctx)
+        m = maximal_ideal(ctx)
         assert is_divisible(local_cohomology_table(m, Q), 3)
 
     def test_principal_split(self):
         # I = (y) in k[x, y]: y acts surjectively on H^1, x does not
         ctx = VariableContext(("x", "y"))
-        I = SquareFreeIdeal.from_supports(ctx, [0b10])
+        I = SquareFreeIdeal(ctx, [0b10])
         x = ctx.mask_of(["x"])
         y = ctx.mask_of(["y"])
         table = local_cohomology_table(I, Q)
@@ -470,20 +484,20 @@ class TestMultiplication:
 
     def test_unit_rejected(self):
         ctx = context_of(2)
-        table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx, [0b01]), Q)
+        table = local_cohomology_table(SquareFreeIdeal(ctx, [0b01]), Q)
         with pytest.raises(ValueError):
             is_multiplication_surjective(table, 1, 0)
 
     @pytest.mark.parametrize("x", [-1, 0b100, 0b111])
     def test_mask_outside_the_context_rejected(self, x):
         ctx = context_of(2)
-        table = local_cohomology_table(SquareFreeIdeal.from_supports(ctx, [0b01]), Q)
+        table = local_cohomology_table(SquareFreeIdeal(ctx, [0b01]), Q)
         with pytest.raises(ValueError):
             is_multiplication_surjective(table, 1, x)
 
     def test_map_shape_and_iso_step(self):
         ctx = context_of(3)
-        m = SquareFreeIdeal.maximal(ctx)
+        m = maximal_ideal(ctx)
         table = local_cohomology_table(m, Q)
         # H^3 at N = {x1, x2, x3} is k, and x1 sends it to N minus x1, where H^3 = 0
         assert (table.dim(3, 0b111), table.dim(3, 0b110)) == (1, 0)
@@ -528,6 +542,21 @@ class TestMultiplication:
         assert is_multiplication_surjective(table, 2, x1)
         assert is_divisible(table, 2)
 
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    def test_x3_fails_on_h3_by_rank(self, field):
+        # every target of x3 on H^3 has a nonzero source, so the verdict
+        # rests on the rank: onto {x1, x2, x4, x5} (dim 2) it is 1
+        I = rank_deficient_ideal()
+        table = local_cohomology_table(I, field)
+        j, x3 = 2, I.context.mask_of(["x3"])
+        targets = {N: d for N, d in table.row(3).items() if not N & x3}
+        assert targets and all(table.dim(3, N | x3) for N in targets)
+        onto = I.context.mask_of(["x1", "x2", "x4", "x5"])
+        assert targets[onto] == 2
+        assert multiplication_rank(table, 3, j, onto | x3) == 1
+        assert multiplication_rank_by_three_ranks(I, 3, j, onto | x3, field) == 1
+        assert not is_multiplication_surjective(table, 3, x3)
+
     @pytest.mark.parametrize("i", [-1, 4, 5])  # r = 3: degrees outside 0..r
     def test_degree_outside_the_complex_is_zero(self, i):
         table = local_cohomology_table(three_axes(), Q)
@@ -544,16 +573,16 @@ class TestMultiplicationAgainstOracles:
     @example(I=three_axes())
     @example(I=primes(context_of(4), ["x1", "x2"], ["x3", "x4"]))
     # (x1) in k[x1, x2]: N = {x1} has H^1 = k and N minus x1 is empty
-    @example(I=SquareFreeIdeal.from_supports(context_of(2), [0b01]))
+    @example(I=SquareFreeIdeal(context_of(2), [0b01]))
     # the path x3 - x1 - x2 - x4: x4 on H^2 at N = {x1, x2, x4} is an
     # isomorphism k -> k
-    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b0101, 0b1010]))
+    @example(I=SquareFreeIdeal(context_of(4), [0b0011, 0b0101, 0b1010]))
     # (x1x2, x3x4): x1 on H^2 at N = {x1..x4} is k -> k with rank 1, and
     # r = 2 < |N|
-    @example(I=SquareFreeIdeal.from_supports(context_of(4), [0b0011, 0b1100]))
+    @example(I=SquareFreeIdeal(context_of(4), [0b0011, 0b1100]))
     # (x1x2x4, x2x3x4, x2x5, x3x5, x4x5): x1 on H^3 at N = {x1..x5} maps
     # k -> k with rank 0, so min(dim source, dim target) is not the rank
-    @example(I=SquareFreeIdeal.from_supports(
+    @example(I=SquareFreeIdeal(
         context_of(5), [0b01011, 0b01110, 0b10010, 0b10100, 0b11000]
     ))
     def test_rank_equals_cocycle_oracle(self, field, I):
@@ -584,7 +613,7 @@ class TestMultiplicationAgainstOracles:
         table = local_cohomology_table(I, field)
         for j in range(n):
             low = (1 << j) - 1
-            J = SquareFreeIdeal.from_supports(
+            J = SquareFreeIdeal(
                 context_of(n - 1),
                 [g & low | g >> (j + 1) << j for g in I.generators if not g >> j & 1],
             )
@@ -699,7 +728,7 @@ class TestMultiplicationOnTheDowkerSide:
         # a map is read off a table, and local_cohomology_table is the one
         # place a table is made, so the cap is checked there
         ctx = VariableContext(tuple(f"z{i}" for i in range(9)))
-        I = SquareFreeIdeal.from_supports(ctx, [0b11, 0b1100])
+        I = SquareFreeIdeal(ctx, [0b11, 0b1100])
         with pytest.raises(CapExceededError):
             local_cohomology_table(I, Q)
         # past the cap raised at construction, x_{z0}: H^2_{z0 z1 z2} -> H^2_{z1 z2} is k -> k

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from oracles import is_divisible
-from test_cech import FIELDS, NOT_DIVISIBLE
+from test_cech import FIELDS, NOT_DIVISIBLE, RANK_DEFICIENT
 
 from svtlab import cache, cech, ideals, simplicial
 from svtlab.cli import _dumps, main, parse_ideal_document
@@ -173,6 +173,18 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["surjective"] is True and doc["divisible"] is True
+
+    def test_surjectivity_fails_by_rank(self, capsys, tmp_path):
+        # every target of x3 on H^3 has a nonzero source; one map has rank 1 onto k^2
+        doc = tmp_path / "rank_deficient.json"
+        doc.write_text(json.dumps(RANK_DEFICIENT))
+        code, out, _ = invoke(
+            capsys, "surjectivity", "--input", str(doc),
+            "--degree", "3", "--monomial", "x3", "--no-cache",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["surjective"] is False and doc["divisible"] is False
 
     @pytest.mark.parametrize(
         "monomial", ["x1", ",".join(f"x{k}" for k in range(1, 9))],
@@ -648,7 +660,7 @@ class TestWriter:
     @example(prefix='a"', n=11, supports=[0b10000000001, 0b11000, 0b1100000])
     def test_table_rows_render_as_their_entries(self, field, prefix, n, supports):
         ctx = VariableContext(tuple(f"{prefix}{j}" for j in range(1, n + 1)))
-        I = SquareFreeIdeal.from_supports(ctx, [g & ctx.full_mask or 1 for g in supports])
+        I = SquareFreeIdeal(ctx, [g & ctx.full_mask or 1 for g in supports])
         table = cech.local_cohomology_table(I, field, cech.EngineLimits(max_vars=n))
         # by i, then by the name lists compared as strings
         named = [

@@ -159,7 +159,7 @@ class TestGamma:
         # (x1x2, x3x4, ..., x11x12): the 2^6 primes pick one variable per
         # pair, and two meet in height one iff they differ in one pair
         ctx = context_of(12)
-        I = SquareFreeIdeal.from_supports(ctx, [0b11 << 2 * k for k in range(6)])
+        I = SquareFreeIdeal(ctx, [0b11 << 2 * k for k in range(6)])
         calls = []
         real = graphs.minimal_primes
 

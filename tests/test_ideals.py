@@ -8,6 +8,7 @@ from oracles import (
     brute_force_facets,
     brute_force_intersection_supports,
     intersection_fold,
+    maximal_ideal,
 )
 
 from svtlab.ideals import (
@@ -80,12 +81,12 @@ class TestIntersect:
 
     def test_idempotent(self):
         ctx = context_of(4)
-        I = SquareFreeIdeal.from_supports(ctx, [0b0011, 0b1100])
+        I = SquareFreeIdeal(ctx, [0b0011, 0b1100])
         assert intersect(I, I) == I
 
     def test_context_mismatch(self):
-        I = SquareFreeIdeal.from_supports(context_of(3), [1])
-        J = SquareFreeIdeal.from_supports(context_of(4), [1])
+        I = SquareFreeIdeal(context_of(3), [1])
+        J = SquareFreeIdeal(context_of(4), [1])
         with pytest.raises(ContextMismatchError):
             intersect(I, J)
 
@@ -120,7 +121,7 @@ class TestSum:
         ctx = context_of(4)
         assert sum_ideals(
             primes(ctx, ["x1", "x2"]), primes(ctx, ["x3", "x4"])
-        ) == SquareFreeIdeal.maximal(ctx)
+        ) == maximal_ideal(ctx)
 
     def test_example_43_sum_proper(self):
         ctx = VariableContext(("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"))
@@ -130,12 +131,12 @@ class TestSum:
 
     def test_zero_neutral(self):
         ctx = context_of(3)
-        I = SquareFreeIdeal.from_supports(ctx, [0b011])
+        I = SquareFreeIdeal(ctx, [0b011])
         assert sum_ideals(I, SquareFreeIdeal(ctx, ())) == I
 
     def test_intersect_with_zero(self):
         ctx = context_of(3)
-        I = SquareFreeIdeal.from_supports(ctx, [0b011, 0b100])
+        I = SquareFreeIdeal(ctx, [0b011, 0b100])
         zero = SquareFreeIdeal(ctx, ())
         assert intersect(I, zero).is_zero
         assert intersect(zero, I).is_zero
@@ -150,7 +151,7 @@ class TestMinimalPrimes:
 
     def test_principal(self):
         ctx = context_of(2)
-        I = SquareFreeIdeal.from_supports(ctx, [0b11])
+        I = SquareFreeIdeal(ctx, [0b11])
         assert [ctx.prime_label(p) for p in minimal_primes(I)] == ["P{x1}", "P{x2}"]
 
     def test_example_43(self):
@@ -165,7 +166,7 @@ class TestMinimalPrimes:
         with pytest.raises(IdealDomainError):
             minimal_primes(SquareFreeIdeal(ctx, ()))
         with pytest.raises(IdealDomainError):
-            minimal_primes(SquareFreeIdeal.from_supports(ctx, [0]))
+            minimal_primes(SquareFreeIdeal(ctx, [0]))
 
     @given(proper_ideals())
     @settings(max_examples=120, deadline=None)
@@ -184,7 +185,7 @@ class TestMinimalPrimes:
     @settings(max_examples=150, deadline=None)
     # the candidate x1x2 holds x1, which is kept for meeting x1x3: the
     # smallest ideal whose search needs the filter against kept transversals
-    @example(I=SquareFreeIdeal.from_supports(context_of(3), [0b011, 0b101]))
+    @example(I=SquareFreeIdeal(context_of(3), [0b011, 0b101]))
     def test_duality_at_the_engine_sizes(self, I):
         full = I.context.full_mask
         via_transversals = sorted(minimal_primes(I))
@@ -194,7 +195,7 @@ class TestMinimalPrimes:
 class TestIsMPrimary:
     def test_maximal(self):
         ctx = context_of(4)
-        assert is_m_primary(SquareFreeIdeal.maximal(ctx))
+        assert is_m_primary(maximal_ideal(ctx))
 
     def test_example_46_blocks(self):
         ctx = context_of(6)
@@ -213,13 +214,13 @@ class TestIsMPrimary:
     def test_zero_and_unit_are_not_m_primary(self):
         ctx = context_of(3)
         assert not is_m_primary(SquareFreeIdeal(ctx, ()))
-        assert not is_m_primary(SquareFreeIdeal.from_supports(ctx, [0]))
+        assert not is_m_primary(SquareFreeIdeal(ctx, [0]))
 
 
 class TestStanleyReisner:
     def test_principal_two_points(self):
         ctx = context_of(2)
-        I = SquareFreeIdeal.from_supports(ctx, [0b11])
+        I = SquareFreeIdeal(ctx, [0b11])
         assert stanley_reisner_facets(I) == (0b01, 0b10)
 
     def test_two_planes_derived(self):
@@ -230,7 +231,7 @@ class TestStanleyReisner:
 
     def test_maximal_ideal_empty_complex(self):
         ctx = context_of(2)
-        assert stanley_reisner_facets(SquareFreeIdeal.maximal(ctx)) == (0,)
+        assert stanley_reisner_facets(maximal_ideal(ctx)) == (0,)
 
 
 class TestDimensions:
@@ -242,7 +243,7 @@ class TestDimensions:
 
     def test_maximal(self):
         ctx = context_of(3)
-        m = SquareFreeIdeal.maximal(ctx)
+        m = maximal_ideal(ctx)
         assert dim_quotient(m) == 0
         assert height(m) == 3
 
@@ -283,4 +284,4 @@ class TestAlgebraicLaws:
     @settings(max_examples=60, deadline=None)
     def test_minimization_is_closure(self, I):
         # rebuilding from the stored generators changes nothing
-        assert SquareFreeIdeal.from_supports(I.context, I.generators) == I
+        assert SquareFreeIdeal(I.context, I.generators) == I
