@@ -11,9 +11,9 @@ of multiplication by x_j on H^i: it is the restriction from the complex
 of the source pattern to its induced subcomplex on the target, so its
 rank follows from the relative cohomology of the pair and the table by
 exactness (cech states the recurrence).  linalg takes every rank with one
-incremental echelon: over GF(2) on rows as bitmasks, one XOR per
-reduction; over odd p on native ints mod p, each kept row scaled to a
-leading 1; over Q fraction-free on integers.
+incremental echelon, the same for every field: over GF(p) on native ints
+mod p, each kept row scaled to a leading 1; over Q fraction-free on
+integers.
 """
 
 from __future__ import annotations

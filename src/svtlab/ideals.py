@@ -48,7 +48,7 @@ def bits(mask: int) -> list:
 def components(masks) -> int:
     """The number of connected components of the nonzero `masks`, two masks
     joined when they share a bit."""
-    count, left = 0, list(masks)
+    count, left = 0, [f for f in masks if f]
     while left:
         reach, before = left[0], 0
         while reach != before:

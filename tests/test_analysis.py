@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -89,6 +90,16 @@ class TestSvtCheck:
         assert again["verdicts"]["connected"] is False
         assert again["field"] == "rationals"
         assert {e["i"] for e in again["table"]} == {2, 3}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    def test_timings_lie_within_the_call(self, field):
+        table = local_cohomology_table(projective_plane_ideal(), field)
+        t0 = time.monotonic()
+        timings = svt_check(table)["timings"]
+        wall = time.monotonic() - t0
+        assert set(timings) == {"hypotheses", "combinatorics", "cohomology"}
+        for section, value in timings.items():
+            assert type(value) is float and 0 <= value <= wall, (section, value, wall)
 
     def test_payload_holds_the_table_itself(self):
         table = local_cohomology_table(primes(context_of(4), ["x1", "x2"], ["x3", "x4"]), Q)

@@ -138,6 +138,20 @@ def test_degree_outside_range_evicted(tmp_path, i):
     assert not os.path.exists(path)
 
 
+@pytest.mark.parametrize(
+    "dim",
+    [0, -1, True, 1.0, "1", None],
+    ids=["zero", "negative", "true", "float", "string", "null"],
+)
+def test_dimension_not_a_positive_int_evicted(tmp_path, dim):
+    # a zero served on a hit would read as a nonzero entry of its row
+    d = str(tmp_path)
+    I = make_ideal()
+    path = planted_entries(d, I, {"i": 2, "pattern": ["x1", "x2"], "dim": dim})
+    assert cache.lookup(d, I, Q) is None
+    assert not os.path.exists(path)
+
+
 def test_empty_pattern_evicted(tmp_path):
     d = str(tmp_path)
     I = make_ideal()

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,6 +63,20 @@ class TestComponents:
         t = len(masks)
         edges = [(i, j) for i in range(t) for j in range(i + 1, t) if masks[i] & masks[j]]
         assert components(masks) == bfs_components(t, edges)
+
+    @pytest.mark.parametrize(
+        "masks, count", [([0], 0), ([0, 3, 4], 2)], ids=["zero", "zero_and_two_components"]
+    )
+    def test_zero_masks_are_dropped(self, masks, count):
+        # in a child process, so that a flood that never ends fails by its
+        # timeout rather than hanging the suite
+        code = f"from svtlab.ideals import components; print(components({masks!r}))"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (run.returncode, run.stdout) == (0, f"{count}\n"), run.stderr
 
 
 class TestIntersect:
