@@ -38,7 +38,7 @@ from .ideals import (
 def svt_check(table: CohomologyTable) -> dict:
     """Both sides of the vanishing equivalence plus the hypothesis checks,
     as the payload the CLI writes, with the table itself in place of its
-    entries: cli._dumps renders a table straight from its rows.
+    entries: cli._dumps writes a table as its text.
 
     Hypothesis failures are recorded, never fatal: the verdicts are still
     computed so a disagreement outside the hypotheses is visible.

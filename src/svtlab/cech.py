@@ -62,12 +62,14 @@ and a map is onto iff its rank equals the target's entry in the table.
 A CohomologyTable carries its ideal and field, and everything read off it
 takes the table alone.  The variable cap is checked where a table is made:
 in local_cohomology_table and pattern_table, and in the CLI before it
-trusts a cached table.
+trusts a cached table.  A table leaves as its `text`, in payloads and cache
+entries alike, and CohomologyTable.from_entries checks what the cache reads.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -155,6 +157,9 @@ def build_graded_complex(I: SquareFreeIdeal, pattern: int) -> GradedComplex:
     return GradedComplex(r, active)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
 @dataclass
 class CohomologyTable:
     """Nonzero k-dimensions of the graded pieces H^i_I(S)_N."""
@@ -188,16 +193,59 @@ class CohomologyTable:
         then by the name lists compared as strings (x10 before x2).
 
         Built on first use, naming each distinct pattern once, so dims
-        must not change after it; a cache hit sets them from the entry it
-        read when that entry lists them in this order, so it builds none.
+        must not change after it; from_entries sets them from entries that
+        list them in this order, so a cache hit builds none.
         """
         names_of = self.ideal.context.names_of
         named = {p: names_of(p) for _, p in self.dims}
         return tuple(sorted([(i, named[p], d) for (i, p), d in self.dims.items()]))
 
-    def entries(self) -> list:
-        """The rows as JSON-ready dicts."""
-        return [{"i": i, "pattern": list(names), "dim": d} for i, names, d in self.rows]
+    @functools.cached_property
+    def text(self) -> str:
+        """The rows as JSON text: the {"dim", "i", "pattern"} objects as
+        json.dumps(..., indent=2, sort_keys=True) writes them at a top-level
+        key, where payloads and cache entries hold a table.  One format per
+        row, each name escaped once, and no pattern empty (N = {} is zero)."""
+        escaped = {s: _ESCAPE(s) for s in self.ideal.context.names}
+        row = '{\n      "dim": %d,\n      "i": %d,\n      "pattern": [\n        %s\n      ]\n    }'
+        items = [row % (d, i, ",\n        ".join([escaped[s] for s in names]))
+                 for i, names, d in self.rows]
+        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+    @classmethod
+    def from_entries(cls, I: SquareFreeIdeal, field: FieldSpec, entries) -> "CohomologyTable":
+        """The table of entries parsed from `text`, each trusted only if
+        local_cohomology_table could have made it: 0 <= i <= n, a non-empty
+        pattern inside the union of the generator supports, a positive
+        integer dimension, no (i, pattern) twice, and at least one entry,
+        since H^{ht I}_I(S) is nonzero; else ValueError, TypeError or
+        KeyError.  Entries in the rows' order, as `text` lists them, become
+        the rows."""
+        n = I.context.n
+        union = I.support_union()
+        dims, rows, ordered = {}, [], True
+        for e in entries:
+            i, names, d = e["i"], e["pattern"], e["dim"]
+            if not isinstance(names, list):
+                raise TypeError("cached pattern must be a list of variable names")
+            mask, in_order = I.context.ordered_mask(names)
+            if type(i) is not int or not 0 <= i <= n:
+                raise ValueError(f"cached degree {i!r} is outside 0..{n}")
+            if not mask or mask & ~union:
+                raise ValueError("cached pattern is empty or outside the support union")
+            if type(d) is not int or d <= 0:
+                raise ValueError("cached dimension must be a positive integer")
+            if (i, mask) in dims:
+                raise ValueError("cached entry repeats a degree and pattern")
+            dims[(i, mask)] = d
+            rows.append((i, tuple(names), d))
+            ordered = ordered and in_order
+        if not dims:
+            raise ValueError("a cached table of a proper nonzero ideal cannot be empty")
+        table = cls(I, field, dims)
+        if ordered and rows == sorted(rows):
+            table.rows = tuple(rows)
+        return table
 
 
 # The Hochster walk builds the table when t <= 2r, with t the number of

@@ -89,8 +89,9 @@ _LEAF = {str: _ESCAPE, int: int.__repr__, float: _SCALAR, type(None): lambda _: 
 
 def _dumps(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) byte for byte (string keys
-    only), with a CohomologyTable written as its entries(); json itself
-    takes its pure-Python encoder for an indent."""
+    only), with a CohomologyTable, which payloads hold only as the value of a
+    top-level key, written as its text; json itself takes its pure-Python
+    encoder for an indent."""
     leaf = _LEAF.get(type(value))
     if leaf is not None:
         return leaf(value)
@@ -100,24 +101,12 @@ def _dumps(value, pad: str = "\n") -> str:
     elif isinstance(value, (list, tuple)):
         items, ends = [_dumps(v, inner) for v in value], "[]"
     elif isinstance(value, cech.CohomologyTable):
-        items, ends = _table_items(value, inner), "[]"
+        return value.text
     else:
         return _SCALAR(value)  # subclasses of str, int and float
     if not items:
         return ends
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
-
-
-def _table_items(table: cech.CohomologyTable, pad: str) -> list:
-    """The texts of the table's entries() at `pad`: one format per row, with
-    the keys "dim", "i", "pattern" in order, and each variable name escaped
-    once per table.  No pattern is empty: the piece at N = {} is zero."""
-    key, name = pad + "  ", pad + "    "
-    escaped = {s: _ESCAPE(s) for s in table.ideal.context.names}
-    row = ("{" + key + '"dim": %d,' + key + '"i": %d,' + key + '"pattern": ['
-           + name + "%s" + key + "]" + pad + "}")
-    between = "," + name
-    return [row % (d, i, between.join([escaped[s] for s in names])) for i, names, d in table.rows]
 
 
 def _emit(payload: dict, args):

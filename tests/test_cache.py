@@ -30,22 +30,24 @@ def test_roundtrip(tmp_path):
     hit = cache.lookup(d, I, Q)
     assert hit is not None
     assert hit.dims == table.dims
-    assert hit.entries() == table.entries()
+    assert hit.rows == table.rows
 
 
 @pytest.mark.parametrize("name", ["two_planes.json", "k8_edges.json"])
-def test_stored_bytes_equal_json_dump(tmp_path, name):
-    # the entry is written with json.dumps; the bytes are json.dump's
+def test_stored_bytes_equal_json_dump(tmp_path, capsys, name):
+    # the entry's rows are the text of "table" in the cohomology payload
+    d = str(tmp_path / "cache")
+    assert main(["cohomology", "--input", fixture_path(name), "--cache-dir", d]) == 0
+    payload = capsys.readouterr().out
+    head, key, rest = payload.partition('\n  "table": ')
+    assert key and rest.endswith("\n}\n")  # "table" is the payload's last key
+    text = rest[: -len("\n}\n")]
+    assert json.loads(text) == json.loads(payload)["table"]
     with open(fixture_path(name)) as fh:
         I = parse_ideal_document(json.load(fh))
-    table = local_cohomology_table(I, Q)
-    cache.store(str(tmp_path), I, Q, table)
-    with open(tmp_path / (cache.cache_key(I, Q) + ".json"), "rb") as fh:
+    with open(os.path.join(d, cache.cache_key(I, Q) + ".json"), "rb") as fh:
         stored = fh.read()
-    expected = tmp_path / "expected"
-    with open(expected, "w") as fh:
-        json.dump({"engine": cache.ENGINE_VERSION, "entries": table.entries()}, fh, sort_keys=True)
-    assert stored == expected.read_bytes()
+    assert stored == ('{"engine": "%s", "entries": %s}' % (cache.ENGINE_VERSION, text)).encode()
 
 
 def test_key_depends_on_field_and_ideal(tmp_path):
@@ -206,6 +208,37 @@ def test_entry_out_of_table_order_is_served_in_it(tmp_path, entries):
     planted_entries(d, I, *[{"i": i, "pattern": p, "dim": 1} for i, p in entries])
     hit = cache.lookup(d, I, Q)
     assert hit.rows == local_cohomology_table(I, Q).rows
+
+
+@pytest.mark.parametrize("field", ["rationals", "2", "3"], ids=["Q", "GF(2)", "GF(3)"])
+def test_entry_in_the_compact_form_still_hits(tmp_path, capsys, field):
+    # entries were once written as json.dumps(..., sort_keys=True) of dicts;
+    # they hold the same entries, so they still hit and serve the same payload
+    src = fixture_path("rp2.json")
+    with open(src) as fh:
+        I = parse_ideal_document(json.load(fh))
+    spec = FieldSpec.parse(field)
+    names_of = I.context.names_of
+    dicts = sorted(
+        [{"dim": d, "i": i, "pattern": list(names_of(p))}
+         for (i, p), d in local_cohomology_table(I, spec).dims.items()],
+        key=lambda e: (e["i"], e["pattern"]),
+    )
+    old = tmp_path / "old"
+    old.mkdir()
+    with open(old / (cache.cache_key(I, spec) + ".json"), "w") as fh:
+        fh.write(json.dumps({"engine": "3", "entries": dicts}, sort_keys=True))
+
+    def analyze(*flags):
+        assert main(["analyze", "--input", src, "--field", field, *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    hit = analyze("--cache-dir", str(old))
+    miss = analyze("--cache-dir", str(tmp_path / "fresh"))
+    off = analyze("--no-cache")
+    assert (hit["cache"], miss["cache"], off["cache"]) == ("hit", "miss", "off")
+    hit, miss, off = [{**doc, "cache": None, "timings": None} for doc in (hit, miss, off)]
+    assert hit == miss == off
 
 
 def test_well_formed_planted_entry_is_served(tmp_path):

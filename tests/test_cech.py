@@ -186,7 +186,7 @@ class TestTableExamples:
         ctx = context_of(4)
         I = primes(ctx, ["x1", "x2"], ["x3", "x4"])
         table = local_cohomology_table(I, Q)
-        entries = table.entries()
+        entries = json.loads(table.text)
         assert entries == sorted(entries, key=lambda e: (e["i"], e["pattern"]))
         assert all(set(e) == {"i", "pattern", "dim"} for e in entries)
 
@@ -460,8 +460,8 @@ class TestStructuralInvariants:
     def test_determinism(self):
         ctx = context_of(5)
         I = primes(ctx, ["x1", "x2"], ["x2", "x3"], ["x4", "x5"])
-        a = local_cohomology_table(I, Q).entries()
-        b = local_cohomology_table(I, Q).entries()
+        a = local_cohomology_table(I, Q).text
+        b = local_cohomology_table(I, Q).text
         assert a == b
 
 

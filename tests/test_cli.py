@@ -637,6 +637,7 @@ _values = st.recursive(
 
 
 ROWS = cech.CohomologyTable.rows.func  # what a spy on the rows wraps
+TEXT = cech.CohomologyTable.text.func  # and one on the table text
 
 
 class TestWriter:
@@ -666,8 +667,9 @@ class TestWriter:
         named = [
             {"i": i, "pattern": list(ctx.names_of(p)), "dim": d} for (i, p), d in table.dims.items()
         ]
-        assert table.entries() == sorted(named, key=lambda e: (e["i"], e["pattern"]))
-        expected = json.dumps({"table": table.entries()}, indent=2, sort_keys=True)
+        entries = sorted(named, key=lambda e: (e["i"], e["pattern"]))
+        assert table.rows == tuple((e["i"], tuple(e["pattern"]), e["dim"]) for e in entries)
+        expected = json.dumps({"table": entries}, indent=2, sort_keys=True)
         assert _dumps({"table": table}) == expected
         with tempfile.TemporaryDirectory() as tmp:  # a hit's rows come from its entry
             cache.store(tmp, I, field, table)
@@ -679,15 +681,22 @@ class TestWriter:
     def test_rows_built_once_on_a_miss_and_never_on_a_hit(
         self, capsys, cache_dir, monkeypatch, command
     ):
-        built = []
-        rows = functools.cached_property(lambda table: built.append(table) or ROWS(table))
-        rows.__set_name__(cech.CohomologyTable, "rows")
-        monkeypatch.setattr(cech.CohomologyTable, "rows", rows)
+        built, rendered = [], []
+        for name, func, calls in (("rows", ROWS, built), ("text", TEXT, rendered)):
+            spy = functools.cached_property(
+                lambda table, func=func, calls=calls: calls.append(table) or func(table)
+            )
+            spy.__set_name__(cech.CohomologyTable, name)
+            monkeypatch.setattr(cech.CohomologyTable, name, spy)
         argv = [command, "--input", fixture_path("ex43.json"), "--cache-dir", cache_dir]
         code, miss, _ = invoke(capsys, *argv)
         assert code == 0 and json.loads(miss)["cache"] == "miss" and len(built) == 1
+        assert len(rendered) == 1  # one text for the entry and the payload
         code, hit, _ = invoke(capsys, *argv)
         assert code == 0 and json.loads(hit)["cache"] == "hit" and len(built) == 1
+        # the hit renders its text once, from the rows it adopted from the entry
+        assert len(rendered) == 2 and rendered[1] is not built[0]
+        assert "rows" in vars(rendered[1])
         timeless = [{**json.loads(out), "cache": None, "timings": None} for out in (miss, hit)]
         assert timeless[0] == timeless[1]
 
