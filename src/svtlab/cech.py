@@ -62,8 +62,11 @@ and a map is onto iff its rank equals the target's entry in the table.
 A CohomologyTable carries its ideal and field, and everything read off it
 takes the table alone.  The variable cap is checked where a table is made:
 in local_cohomology_table and pattern_table, and in the CLI before it
-trusts a cached table.  A table leaves as its `text`, in payloads and cache
-entries alike, and CohomologyTable.from_entries checks what the cache reads.
+trusts a cached table.  A table is its dims, and it leaves as its `text`, in
+payloads and cache entries alike, rendered from the dims on a miss.
+CohomologyTable.from_entries checks what the cache reads and renders each
+entry with the same row template as it checks it, so a hit on an entry in
+the table's order keeps the entry's own text.
 """
 
 from __future__ import annotations
@@ -158,6 +161,14 @@ def build_graded_complex(I: SquareFreeIdeal, pattern: int) -> GradedComplex:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
+# A table's text: its {"dim", "i", "pattern"} objects, and the list of them,
+# as json.dumps(..., indent=2, sort_keys=True) writes them at a top-level key.
+_ROW = '{\n      "dim": %d,\n      "i": %d,\n      "pattern": [\n        %s\n      ]\n    }'
+_SEP = ",\n        "  # between the escaped names of a row's pattern
+
+
+def _listed(rows: list) -> str:
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
 @dataclass
@@ -188,29 +199,17 @@ class CohomologyTable:
         return sorted({i for i, _ in self.dims})
 
     @functools.cached_property
-    def rows(self) -> tuple:
-        """The nonzero entries as (i, pattern names, dim), sorted by i and
-        then by the name lists compared as strings (x10 before x2).
-
-        Built on first use, naming each distinct pattern once, so dims
-        must not change after it; from_entries sets them from entries that
-        list them in this order, so a cache hit builds none.
-        """
+    def text(self) -> str:
+        """The nonzero entries as JSON text, where payloads and cache entries
+        hold a table, sorted by i and then by the name lists compared as
+        strings (x10 before x2).  Rendered from dims on first use, naming
+        each distinct pattern once and escaping each name once, so dims must
+        not change after it; no pattern is empty (N = {} is zero)."""
         names_of = self.ideal.context.names_of
         named = {p: names_of(p) for _, p in self.dims}
-        return tuple(sorted([(i, named[p], d) for (i, p), d in self.dims.items()]))
-
-    @functools.cached_property
-    def text(self) -> str:
-        """The rows as JSON text: the {"dim", "i", "pattern"} objects as
-        json.dumps(..., indent=2, sort_keys=True) writes them at a top-level
-        key, where payloads and cache entries hold a table.  One format per
-        row, each name escaped once, and no pattern empty (N = {} is zero)."""
         escaped = {s: _ESCAPE(s) for s in self.ideal.context.names}
-        row = '{\n      "dim": %d,\n      "i": %d,\n      "pattern": [\n        %s\n      ]\n    }'
-        items = [row % (d, i, ",\n        ".join([escaped[s] for s in names]))
-                 for i, names, d in self.rows]
-        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        rows = sorted([(i, named[p], d) for (i, p), d in self.dims.items()])
+        return _listed([_ROW % (d, i, _SEP.join([escaped[s] for s in names])) for i, names, d in rows])
 
     @classmethod
     def from_entries(cls, I: SquareFreeIdeal, field: FieldSpec, entries) -> "CohomologyTable":
@@ -219,11 +218,12 @@ class CohomologyTable:
         pattern inside the union of the generator supports, a positive
         integer dimension, no (i, pattern) twice, and at least one entry,
         since H^{ht I}_I(S) is nonzero; else ValueError, TypeError or
-        KeyError.  Entries in the rows' order, as `text` lists them, become
-        the rows."""
+        KeyError.  Each entry is rendered as it is checked, and entries in
+        the order `text` lists them become its text, so such a hit renders
+        none from dims."""
         n = I.context.n
         union = I.support_union()
-        dims, rows, ordered = {}, [], True
+        dims, rows, last, ordered = {}, [], (), True
         for e in entries:
             i, names, d = e["i"], e["pattern"], e["dim"]
             if not isinstance(names, list):
@@ -238,13 +238,13 @@ class CohomologyTable:
             if (i, mask) in dims:
                 raise ValueError("cached entry repeats a degree and pattern")
             dims[(i, mask)] = d
-            rows.append((i, tuple(names), d))
-            ordered = ordered and in_order
+            rows.append(_ROW % (d, i, _SEP.join([_ESCAPE(s) for s in names])))
+            ordered, last = ordered and in_order and (i, names) > last, (i, names)
         if not dims:
             raise ValueError("a cached table of a proper nonzero ideal cannot be empty")
         table = cls(I, field, dims)
-        if ordered and rows == sorted(rows):
-            table.rows = tuple(rows)
+        if ordered:
+            table.text = _listed(rows)
         return table
 
 

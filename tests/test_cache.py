@@ -30,7 +30,7 @@ def test_roundtrip(tmp_path):
     hit = cache.lookup(d, I, Q)
     assert hit is not None
     assert hit.dims == table.dims
-    assert hit.rows == table.rows
+    assert hit.text == table.text
 
 
 @pytest.mark.parametrize("name", ["two_planes.json", "k8_edges.json"])
@@ -207,7 +207,7 @@ def test_entry_out_of_table_order_is_served_in_it(tmp_path, entries):
     I = make_ideal()
     planted_entries(d, I, *[{"i": i, "pattern": p, "dim": 1} for i, p in entries])
     hit = cache.lookup(d, I, Q)
-    assert hit.rows == local_cohomology_table(I, Q).rows
+    assert hit.text == local_cohomology_table(I, Q).text
 
 
 @pytest.mark.parametrize("field", ["rationals", "2", "3"], ids=["Q", "GF(2)", "GF(3)"])

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import context_of, fixture_path, proper_ideals
 from oracles import (
@@ -21,6 +22,7 @@ from svtlab.analysis import grade_check, hlv_check
 from svtlab.cli import parse_ideal_document
 
 from svtlab.fields import FieldSpec
+from svtlab.graphs import components, theta_graph
 from svtlab.ideals import (
     CapExceededError,
     SquareFreeIdeal,
@@ -28,6 +30,7 @@ from svtlab.ideals import (
     bits,
     dim_quotient,
     height,
+    minimal_primes,
     stanley_reisner_facets,
 )
 from svtlab.simplicial import depth_quotient
@@ -356,6 +359,80 @@ class TestHochsterDuality:
         hochster = simplicial.hochster_table(I, field)
         expected = {(n - i, full & ~face): d for (i, face), d in hochster.items()}
         assert pattern_table(I, field).dims == expected
+
+
+def fixture_ideal(name):
+    with open(fixture_path(name)) as fh:
+        return parse_ideal_document(json.load(fh))
+
+
+@st.composite
+def prime_intersections(draw, min_n=3, max_n=8):
+    """Intersections of 1..5 coordinate primes in a ring of min_n..max_n variables."""
+    ctx = context_of(draw(st.integers(min_n, max_n)))
+    masks = draw(st.lists(st.integers(1, ctx.full_mask), min_size=1, max_size=5))
+    return SquareFreeIdeal.intersection_of_primes(ctx, [ctx.names_of(m) for m in masks])
+
+
+def pd_from_the_dual(I, field):
+    """1 + max(|N| - i) over the pattern table of I^v, the ideal of I's minimal primes."""
+    dual = SquareFreeIdeal(I.context, minimal_primes(I))
+    return 1 + max(p.bit_count() - i for i, p in pattern_table(dual, field).dims)
+
+
+# random supports and prime intersections at n 3..8
+IDEALS_3_TO_8 = st.one_of(proper_ideals(min_n=3, max_n=8, max_gens=6), prime_intersections())
+
+
+class TestClosedForms:
+    """Rows and invariants of the pattern table that other structures fix."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(IDEALS_3_TO_8)
+    @settings(max_examples=60, deadline=None)
+    @example(I=fixture_ideal("two_planes.json"))  # {[n]: 1}
+    @example(I=fixture_ideal("k8_edges.json"))  # eight height-7 primes and [n]: 7
+    @example(I=fixture_ideal("ci_two_cubics.json"))  # empty
+    def test_row_n_minus_1_in_closed_form(self, field, I):
+        # H^{n-1}_I(S)_N is 1 at N = vars(P) for each minimal prime P of
+        # height n - 1, c - 1 at N = [n] with c the components of Theta, and
+        # 0 elsewhere; Theta is read off the minimal primes, not the table
+        n = I.context.n
+        expected = {p: 1 for p in minimal_primes(I) if p.bit_count() == n - 1}
+        c = components(*theta_graph(I))
+        if c > 1:
+            expected[I.context.full_mask] = c - 1
+        assert pattern_table(I, field).row(n - 1) == expected
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("two_planes.json", {0b1111: 1}),
+            ("k8_edges.json", {0xFF: 7, **{0xFF & ~(1 << j): 1 for j in range(8)}}),
+            ("ci_two_cubics.json", {}),
+        ],
+    )
+    def test_row_n_minus_1_of_fixtures(self, name, expected):
+        I = fixture_ideal(name)
+        for field in FIELDS:
+            assert pattern_table(I, field).row(I.context.n - 1) == expected
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label())
+    @given(IDEALS_3_TO_8)
+    @settings(max_examples=60, deadline=None)
+    @example(I=fixture_ideal("rp2.json"))  # cd 4 over GF(2), 3 over GF(3) and Q
+    def test_pd_from_the_alexander_dual_is_cd(self, field, I):
+        # the pattern table of I^v, generated by the minimal primes of I, is
+        # the multigraded Betti table of I: beta_{j,N}(I) = T_{I^v}(|N| - j, N),
+        # so pd(S/I) = 1 + max(|N| - i) over its nonzero entries, and
+        # pd(S/I) = n - depth(S/I) = cd(I)
+        assert pd_from_the_dual(I, field) == cohomological_dimension(local_cohomology_table(I, field))
+
+    @pytest.mark.parametrize(
+        "field, cd", [(Q, 3), (FieldSpec(2), 4), (FieldSpec(3), 3)], ids=["Q", "GF(2)", "GF(3)"]
+    )
+    def test_pd_from_the_alexander_dual_of_rp2(self, field, cd):
+        assert pd_from_the_dual(fixture_ideal("rp2.json"), field) == cd
 
 
 class TestStructuralInvariants:
