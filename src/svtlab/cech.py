@@ -313,11 +313,12 @@ def pattern_table(
 def _pattern_dims(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int], int]:
     """The table's entries, one pattern class at a time.
 
-    Patterns that are zero for every i are skipped without building a
-    complex: N = {} (the Cech complex is the augmented full simplex),
-    N not contained in the union of the supports (no active terms), and N
-    disjoint from some generator's support (K_N is then the full simplex
-    on N).
+    Only the nonempty submasks N of the union of the supports are visited,
+    in increasing order (N = {} and N outside the union are zero for every
+    i).  N is skipped without building a complex when the misses of its
+    variables meet, that is when some generator's support misses N (K_N is
+    then the full simplex on N); that meet is carried from N minus its
+    lowest variable.
     """
     # misses[j]: the generators whose support does not contain variable j
     misses = [
@@ -327,13 +328,12 @@ def _pattern_dims(I: SquareFreeIdeal, field: FieldSpec) -> Dict[Tuple[int, int],
     union = I.support_union()
     memo: Dict[tuple, Dict[int, int]] = {}  # generator-side facets -> H~^*
     dims: Dict[Tuple[int, int], int] = {}
-    patterns = []
-    sub = union
-    while sub:
-        patterns.append(sub)
-        sub = (sub - 1) & union
-    for pattern in sorted(patterns):
-        if any(not g & pattern for g in I.generators):
+    meet = {0: (1 << I.r) - 1}  # meet[N]: the generators whose support misses N
+    pattern = 0
+    while pattern := (pattern - union) & union:
+        low = pattern & -pattern
+        cone = meet[pattern] = meet[pattern ^ low] & misses[low.bit_length() - 1]
+        if cone:
             continue
         key = simplicial.maximal_faces(misses[j] for j in bits(pattern))
         coh = memo.get(key)

@@ -36,12 +36,10 @@ class CapExceededError(RuntimeError):
 
 def bits(mask: int) -> list:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -233,6 +233,8 @@ class TestAgainstCechOracle:
     @example(I=SquareFreeIdeal(context_of(5), [0b11111]))
     # (x1x2x3, x4x5): t = 6 facets > 2r = 4, the pattern side of the rule
     @example(I=SquareFreeIdeal(context_of(5), [0b00111, 0b11000]))
+    # (x1x2, x2x3) in k[x1..x4]: x4 lies outside the union of the supports
+    @example(I=SquareFreeIdeal(context_of(4), [0b0011, 0b0110]))
     def test_table_equals_oracle(self, field, I):
         oracle = cech_table_dims(I, field)
         assert local_cohomology_table(I, field).dims == oracle
@@ -257,6 +259,9 @@ class TestAgainstCechOracle:
             (SquareFreeIdeal(context_of(4), [0b0011, 0b1100]), 1),
             # eleven covering patterns, all distinct
             (primes(context_of(5), ["x1", "x2"], ["x3", "x4", "x5"]), 11),
+            # (x1x2, x2x3) in k[x1..x4]: five covering patterns, four memo keys,
+            # none holding x4, which lies outside the union of the supports
+            (SquareFreeIdeal(context_of(4), [0b0011, 0b0110]), 4),
         ],
     )
     def test_each_class_computed_once_on_the_variables(self, monkeypatch, I, calls):
@@ -269,10 +274,21 @@ class TestAgainstCechOracle:
 
         monkeypatch.setattr(simplicial, "reduced_cohomology", spy)
         table = pattern_table(I, Q)
-        assert len(seen) == calls
-        # each class is computed on the variable side, as some K_N
-        covering = [N for N in range(1, 1 << I.context.n) if all(g & N for g in I.generators)]
-        assert set(seen) <= {cech._facets(I, N) for N in covering}
+        # each class is computed once, on K_N for its smallest covering N,
+        # in the order the submasks of the union meet the classes
+        union, first = I.support_union(), {}
+        for N in range(1, union + 1):
+            if N & ~union or not all(g & N for g in I.generators):
+                continue
+            # the class: the maximal sets {t : j not in supp(f_t)}, j in N
+            side = {
+                sum(1 << t for t, g in enumerate(I.generators) if not g >> j & 1)
+                for j in range(I.context.n) if N >> j & 1
+            }
+            key = frozenset(a for a in side if not any(a != b and a & b == a for b in side))
+            first.setdefault(key, N)
+        assert len(first) == calls
+        assert seen == [cech._facets(I, N) for N in first.values()]
         assert table.dims == cech_table_dims(I, Q)
 
     def test_ex45_n3_with_raised_caps(self):

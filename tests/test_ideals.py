@@ -21,6 +21,7 @@ from svtlab.ideals import (
     IdealDomainError,
     SquareFreeIdeal,
     VariableContext,
+    bits,
     components,
     dim_quotient,
     height,
@@ -48,6 +49,16 @@ class TestContext:
     def test_rejects_too_many_variables(self):
         with pytest.raises(CapExceededError):
             VariableContext(tuple(f"x{i}" for i in range(17)))
+
+
+class TestBits:
+    @given(st.integers(0, (1 << 16) - 1))
+    @settings(max_examples=300, deadline=None)
+    @example(m=0)
+    @example(m=1 << 15)
+    @example(m=(1 << 16) - 1)
+    def test_set_bits_in_increasing_order(self, m):
+        assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 class TestComponents:
